@@ -21,7 +21,13 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .dd_partitions import EnumerationCapError, count_pd, count_pd_alt, enumeration_cap
+from .dd_partitions import (
+    EnumerationCapError,
+    check_enumeration_cap,
+    count_pd,
+    count_pd_alt,
+    enumeration_cap,
+)
 from .kummer import (
     kummer_rows,
     partition_count_table,
@@ -115,6 +121,7 @@ def cmd_table(args, out=None) -> int:
 def cmd_c_table(args, out=None) -> int:
     out = out or sys.stdout
     n = args.max_n
+    check_enumeration_cap(1, n, args.enum_cap)
     parts = enumerate_partitions(n)
     table = partition_count_table(2, n)
     values = [(alpha, c_value(alpha)) for alpha in parts]

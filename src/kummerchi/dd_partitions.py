@@ -265,6 +265,28 @@ def _newly_addable(
     return out
 
 
+def _lex_walk(d: int, n: int) -> Iterator[tuple[set[tuple[int, ...]], list[tuple[int, ...]]]]:
+    """The canonical lex-order DFS over box sets, n >= 1: yields (boxes, addable).
+
+    `boxes` holds n - 1 boxes (shared: it changes once the walk resumes);
+    each cell of `addable` completes it to a distinct partition of n.
+    """
+    k = d + 1
+    boxes: set[tuple[int, ...]] = set()
+
+    def grow(addable: list[tuple[int, ...]], remaining: int):
+        if remaining == 1:
+            yield boxes, addable
+            return
+        for idx, cell in enumerate(addable):
+            boxes.add(cell)
+            nxt = sorted(addable[idx + 1 :] + _newly_addable(boxes, cell, k))
+            yield from grow(nxt, remaining - 1)
+            boxes.remove(cell)
+
+    return grow([(0,) * k], n)
+
+
 def count_pd_alt(d: int, n: int, enum_cap: int | None = None) -> int:
     """P_d(n) again, by depth-first search over box sets.
 
@@ -275,21 +297,7 @@ def count_pd_alt(d: int, n: int, enum_cap: int | None = None) -> int:
     check_enumeration_cap(d, n, enum_cap)
     if n == 0:
         return 1
-    k = d + 1
-    boxes: set[tuple[int, ...]] = set()
-
-    def grow(addable: list[tuple[int, ...]], remaining: int) -> int:
-        if remaining == 1:
-            return len(addable)
-        total = 0
-        for idx, cell in enumerate(addable):
-            boxes.add(cell)
-            nxt = sorted(addable[idx + 1 :] + _newly_addable(boxes, cell, k))
-            total += grow(nxt, remaining - 1)
-            boxes.remove(cell)
-        return total
-
-    return grow([(0,) * k], n)
+    return sum(len(addable) for _, addable in _lex_walk(d, n))
 
 
 def enumerate_pd(d: int, n: int, enum_cap: int | None = None) -> Iterator[DdPartition]:
@@ -304,17 +312,6 @@ def enumerate_pd(d: int, n: int, enum_cap: int | None = None) -> Iterator[DdPart
     if n == 0:
         yield DdPartition(d, frozenset())
         return
-    k = d + 1
-    boxes: set[tuple[int, ...]] = set()
-
-    def grow(addable: list[tuple[int, ...]], remaining: int) -> Iterator[DdPartition]:
-        for idx, cell in enumerate(addable):
-            boxes.add(cell)
-            if remaining == 1:
-                yield DdPartition(d, frozenset(boxes))
-            else:
-                nxt = sorted(addable[idx + 1 :] + _newly_addable(boxes, cell, k))
-                yield from grow(nxt, remaining - 1)
-            boxes.remove(cell)
-
-    yield from grow([(0,) * k], n)
+    for boxes, addable in _lex_walk(d, n):
+        for cell in addable:
+            yield DdPartition(d, boxes | {cell})

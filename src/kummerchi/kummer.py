@@ -94,12 +94,7 @@ def partition_count_table(d: int, max_n: int, enum_cap: int | None = None) -> li
         return [1] * (max_n + 1)
     if d <= 2:
         ser = product_expansion((lambda k: 1) if d == 1 else (lambda k: k), max_n)
-        values = []
-        for c in ser.coeffs:
-            if c.denominator != 1:
-                raise ArithmeticError(f"non-integral partition count {c}")
-            values.append(int(c))
-        return values
+        return [int(c) for c in ser.coeffs]
     check_enumeration_cap(d, max_n, enum_cap)
     values = []
     for n in range(max_n + 1):
@@ -118,11 +113,13 @@ def ns_from_c(
 
     Equals sigma_2(n) at g = 3, sigma_1(n) at g = 2 and 1 at g = 1.
     `table` may carry a precomputed `partition_count_table(g - 1, >= n)`.
+    The partitions of n are enumerated, so n is subject to the d = 1 cap.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if g < 1:
         raise ValueError("g must be >= 1")
+    check_enumeration_cap(1, n, enum_cap)
     if table is None:
         table = partition_count_table(g - 1, n, enum_cap=enum_cap)
     return sum(c_value(a) * weighted_product(a, table) for a in enumerate_partitions(n))
@@ -169,6 +166,8 @@ def kummer_rows(max_n: int, g: int = 3, enum_cap: int | None = None) -> list[Kum
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
+    if g != 3:
+        check_enumeration_cap(1, max_n, enum_cap)
     table = partition_count_table(g - 1, max_n, enum_cap=enum_cap)
     s = log_coefficients(table)
     rows = []
@@ -176,7 +175,7 @@ def kummer_rows(max_n: int, g: int = 3, enum_cap: int | None = None) -> list[Kum
         if g == 3:
             chi = chi_kummer_closed(n)
         else:
-            chi = chi_kummer_stratified(n, g, table=table)
+            chi = chi_kummer_stratified(n, g, table=table, enum_cap=enum_cap)
         sign = 1 if n % 2 else -1
         rows.append(
             KummerRow(
@@ -304,7 +303,7 @@ def verify_chi_series(g: int, max_n: int, enum_cap: int | None = None) -> Report
     checks = []
     for n in range(1, max_n + 1):
         val = n ** (2 * g) * s[n - 1]
-        strat = chi_kummer_stratified(n, g, table=table)
+        strat = chi_kummer_stratified(n, g, table=table, enum_cap=enum_cap)
         checks.append(
             Check("chi-series", n, val == strat, str(val), str(strat), g=g, detail="stratified")
         )
@@ -346,7 +345,7 @@ def verify_first_order(g: int, max_n: int, enum_cap: int | None = None) -> Repor
         TruncatedSeries.zero(max_n), TruncatedSeries(table).log()
     ).exp()
     eps_coeffs = [Fraction(0)] + [
-        Fraction(chi_kummer_stratified(n, g, table=table), n ** (2 * g))
+        Fraction(chi_kummer_stratified(n, g, table=table, enum_cap=enum_cap), n ** (2 * g))
         for n in range(1, max_n + 1)
     ]
     lhs = FirstOrderSeries(TruncatedSeries.one(max_n), TruncatedSeries(eps_coeffs))
@@ -370,6 +369,8 @@ def run_all_verifiers(
     max_n: int, genus: Iterable[int], enum_cap: int | None = None
 ) -> list[Report]:
     """All identity checks up to max_n, the g-dependent ones once per requested g."""
+    # verify_single_step enumerates partitions and takes no cap of its own
+    check_enumeration_cap(1, max_n, enum_cap)
     reports = [verify_sigma2_convolution(max_n), verify_single_step(max_n)]
     for g in genus:
         reports.append(verify_chi_series(g, max_n, enum_cap=enum_cap))

@@ -1,7 +1,9 @@
-"""Truncated formal power series over exact rationals.
+"""Truncated formal power series: integer kernels, exact rational series.
 
-A `TruncatedSeries` of order N stores exactly the coefficients of
-q^0 .. q^N as `fractions.Fraction`s, always normalized, never floats.
+The kernels `product_expansion` and `log_coefficients` compute over
+`int`, as every series the Kummer routes build has integer coefficients.
+A `TruncatedSeries` of order N holds the coefficients of q^0 .. q^N of a
+series with true rationals as `fractions.Fraction`s, never floats.
 Binary operations insist that both operands carry the same order;
 changing order is a deliberate act done with `retruncate`.
 
@@ -119,18 +121,8 @@ class TruncatedSeries:
         return TruncatedSeries(e)
 
     def log(self) -> "TruncatedSeries":
-        """Series logarithm (triangular solve); needs constant term 1."""
-        if self.coeffs[0] != 1:
-            raise ValueError("log needs constant term 1")
-        n_max = self.order
-        u = [Fraction(0)] * (n_max + 1)
-        for n in range(1, n_max + 1):
-            acc = n * self.coeffs[n]
-            for k in range(1, n):
-                if u[k]:
-                    acc -= k * u[k] * self.coeffs[n - k]
-            u[n] = acc / n
-        return TruncatedSeries(u)
+        """Series logarithm by `log_coefficients`; needs constant term 1."""
+        return TruncatedSeries([0, *log_coefficients(self.coeffs)])
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, TruncatedSeries) and self.coeffs == other.coeffs
@@ -163,16 +155,15 @@ def product_expansion(
     if order < 0:
         raise ValueError("order must be nonnegative")
     exp_of = exponent if callable(exponent) else exponent.__getitem__
-    coeffs = [Fraction(0)] * (order + 1)
-    coeffs[0] = Fraction(1)
+    coeffs = [1] + [0] * order
     for k in range(1, order + 1):
         e = int(exp_of(k))
         if e == 0:
             continue
         factor = _geometric_power_coeffs(e, order // k)
-        new = [Fraction(0)] * (order + 1)
+        new = [0] * (order + 1)
         for i in range(order + 1):
-            acc = Fraction(0)
+            acc = 0
             for j in range(i // k + 1):
                 c = factor[j]
                 if c:
@@ -186,20 +177,20 @@ def log_coefficients(counts: Sequence) -> list[Fraction]:
     """The exact rationals s_1..s_N with n*counts[n] = sum_{k=1..n} k*s_k*counts[n-k].
 
     `counts` lists the coefficients counts[0..N] of a series with
-    counts[0] = 1; the s_n are the coefficients of its logarithm, solved
-    triangularly without building a series object.
+    counts[0] = 1; the s_n are the coefficients of its logarithm.  The
+    triangular solve runs on b_n = n*s_n, an integer when the counts are,
+    and makes a `Fraction` only of each returned s_n = b_n / n.
     """
-    p = [Fraction(c) for c in counts]
+    p = [c if isinstance(c, int) else Fraction(c) for c in counts]
     if not p or p[0] != 1:
         raise ValueError("counts[0] must be 1")
-    s = [Fraction(0)] * len(p)
+    b = [0] * len(p)
     for n in range(1, len(p)):
         acc = n * p[n]
         for k in range(1, n):
-            if s[k]:
-                acc -= k * s[k] * p[n - k]
-        s[n] = acc / n
-    return s[1:]
+            acc -= b[k] * p[n - k]
+        b[n] = acc
+    return [Fraction(b[n], n) for n in range(1, len(p))]
 
 
 class FirstOrderSeries:

@@ -180,6 +180,21 @@ def test_verify_cap_override(capsys):
     assert code == EXIT_OK
 
 
+def test_partition_enumeration_honours_cap(capsys):
+    # every path that enumerates ordinary partitions refuses above the d = 1 cap
+    for argv in (
+        ["c-table", "--max-n", "12"],
+        ["table", "--genus", "2", "--max-n", "12"],
+        ["verify", "--genus", "1", "--max-n", "12"],
+    ):
+        code, out, err = run_cli(capsys, *argv, "--enum-cap", "10")
+        assert code == EXIT_CAP and out == ""
+        assert "--enum-cap" in err
+    # the closed form at g = 3 enumerates nothing
+    code, _, _ = run_cli(capsys, "table", "--genus", "3", "--max-n", "12", "--enum-cap", "10")
+    assert code == EXIT_OK
+
+
 def test_exit_code_mapping():
     ok = Report("x", (Check("x", 1, True, "1", "1"),))
     bad = Report("y", (Check("y", 1, False, "1", "2"),))

@@ -86,6 +86,10 @@ def test_three_routes_to_sigma2():
     s = log_coefficients(partition_count_table(2, 15))
     for n in range(1, 16):
         assert sigma(2, n) == ns_from_c(n, 3) == n * s[n - 1]
+    # the log route alone at the order `table` reaches
+    s = log_coefficients(partition_count_table(2, 200))
+    for n in range(1, 201):
+        assert n**6 * s[n - 1] == n**5 * sum(d**2 for d in divisors(n))
 
 
 def test_dt_examples():

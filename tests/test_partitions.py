@@ -11,6 +11,7 @@ from kummerchi.partitions import (
     remove_part,
     weighted_product,
 )
+from kummerchi.series import product_expansion
 
 
 # Independent oracle: build partitions as weakly *increasing* part lists,
@@ -84,6 +85,12 @@ def test_enumerate_matches_independent_oracles():
 def test_enumerate_count_agrees_with_dd_module():
     for n in range(13):
         assert len(enumerate_partitions(n)) == count_pd(1, n)
+
+
+def test_partition_series_matches_oracle_at_table_order():
+    # the product kernel at CLI size: `table` expands series up to order 199
+    euler = product_expansion(lambda k: 1, 200)
+    assert list(euler.coeffs) == [partition_count_oracle(n) for n in range(201)]
 
 
 def test_enumerate_is_deterministic():

@@ -148,6 +148,11 @@ def test_product_expansion_classics():
     assert product_expansion({1: -1, 2: 0, 3: 0}, 3) == TruncatedSeries([1, -1, 0, 0])
     with pytest.raises(ValueError):
         product_expansion(lambda k: 1, -1)
+    # the MacMahon series at the order `table` reaches, by the sigma_2 convolution
+    p2 = product_expansion(lambda k: k, 200)
+    sigma2 = [0] + [divisor_power_sum(2, k) for k in range(1, 201)]
+    for n in range(1, 201):
+        assert n * p2[n] == sum(sigma2[k] * p2[n - k] for k in range(1, n + 1))
 
 
 def test_product_expansion_matches_exp_of_dilogarithm_form():
@@ -179,6 +184,8 @@ def test_log_coefficients_examples():
         log_coefficients([2, 1])
     with pytest.raises(ValueError):
         log_coefficients([])
+    p2 = product_expansion(lambda k: k, 200).coeffs
+    assert log_coefficients(p2) == log_coefficients([int(c) for c in p2])
 
 
 def test_log_coefficients_then_exp_reproduces_counts():

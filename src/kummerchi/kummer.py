@@ -109,7 +109,7 @@ def partition_count_table(d: int, max_n: int, enum_cap: int | None = None) -> li
 def ns_from_c(
     n: int, g: int, table: Sequence[int] | None = None, enum_cap: int | None = None
 ) -> int:
-    """n * s_n out of the signed recursion: sum over alpha of n of c(alpha) * prod P_{g-1}.
+    """n * s_n out of the signed weights: sum over alpha of n of c(alpha) * prod P_{g-1}.
 
     Equals sigma_2(n) at g = 3, sigma_1(n) at g = 2 and 1 at g = 1.
     `table` may carry a precomputed `partition_count_table(g - 1, >= n)`.
@@ -240,7 +240,7 @@ def verify_single_step(max_n: int) -> Report:
     left uncancelled, plus the closure: summing over the distinct sizes
     i recovers c(alpha) = -sum_i c(alpha-hat-i), which is the defining
     recursion.  Single-part alpha are the recursion's base case and are
-    skipped.
+    skipped.  `c_value` uses the closed form: this closure checks the recursion.
     """
     checks = []
     for n in range(1, max_n + 1):
@@ -292,13 +292,17 @@ def verify_single_step(max_n: int) -> Report:
     return Report("single-step", tuple(checks))
 
 
-def verify_chi_series(g: int, max_n: int, enum_cap: int | None = None) -> Report:
+def verify_chi_series(
+    g: int, max_n: int, enum_cap: int | None = None, table: Sequence[int] | None = None
+) -> Report:
     """n^(2g) * s_n = stratified chi(K^n), a positive integer, for n <= max_n.
 
     s_n are the logarithmic coefficients of the P_{g-1} series.  At
     g = 3 the closed formula n^5 * sigma_2(n) is checked as well.
+    `table` may carry a precomputed `partition_count_table(g - 1, max_n)`.
     """
-    table = partition_count_table(g - 1, max_n, enum_cap=enum_cap)
+    if table is None:
+        table = partition_count_table(g - 1, max_n, enum_cap=enum_cap)
     s = log_coefficients(table)
     checks = []
     for n in range(1, max_n + 1):
@@ -334,13 +338,18 @@ def verify_chi_series(g: int, max_n: int, enum_cap: int | None = None) -> Report
     return Report(f"chi-series(g={g})", tuple(checks))
 
 
-def verify_first_order(g: int, max_n: int, enum_cap: int | None = None) -> Report:
+def verify_first_order(
+    g: int, max_n: int, enum_cap: int | None = None, table: Sequence[int] | None = None
+) -> Report:
     """First-order expansion check, coefficient by coefficient in Q[eps]/(eps^2):
 
         1 + eps * sum_{n>=1} chi(K^n)/n^(2g) q^n
             = exp(eps * log sum_{n>=0} P_{g-1}(n) q^n).
+
+    `table` may carry a precomputed `partition_count_table(g - 1, max_n)`.
     """
-    table = partition_count_table(g - 1, max_n, enum_cap=enum_cap)
+    if table is None:
+        table = partition_count_table(g - 1, max_n, enum_cap=enum_cap)
     rhs = FirstOrderSeries(
         TruncatedSeries.zero(max_n), TruncatedSeries(table).log()
     ).exp()
@@ -373,6 +382,7 @@ def run_all_verifiers(
     check_enumeration_cap(1, max_n, enum_cap)
     reports = [verify_sigma2_convolution(max_n), verify_single_step(max_n)]
     for g in genus:
-        reports.append(verify_chi_series(g, max_n, enum_cap=enum_cap))
-        reports.append(verify_first_order(g, max_n, enum_cap=enum_cap))
+        table = partition_count_table(g - 1, max_n, enum_cap=enum_cap)
+        reports.append(verify_chi_series(g, max_n, enum_cap=enum_cap, table=table))
+        reports.append(verify_first_order(g, max_n, enum_cap=enum_cap, table=table))
     return reports

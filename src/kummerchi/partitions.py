@@ -5,20 +5,19 @@ counts the parts of size i, and trailing zeros are trimmed so equal
 partitions always carry identical vectors.  The empty vector is the one
 partition of 0.
 
-The signed weight c is defined for weight >= 1 by
-
-    c(single part of size n) = n,
-    c(alpha) = - sum over the part sizes i present in alpha
-                 of c(alpha with one part of size i removed).
-
-The sum runs over *distinct* part sizes: each size contributes one
-removal no matter its multiplicity.  Values are exact integers and are
-memoized in a table shared across all weights.
+The signed weight of a partition alpha of n >= 1 with l parts is
+c(alpha) = n (-1)^(l-1) (l-1)! / prod_i alpha_i!, the coefficient of
+prod_i P_i^(alpha_i) in n [q^n] log(1 + sum_{i>=1} P_i q^i).  It solves
+the signed recursion c((n)) = n, c(alpha) = -sum_i c(alpha with one part
+of size i removed), with i over the *distinct* part sizes of alpha.
+Nothing in this module keeps state between calls.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from math import factorial, prod
+from operator import index, mul
+from typing import Iterable, Sequence
 
 __all__ = [
     "Partition",
@@ -41,19 +40,19 @@ class Partition:
     __slots__ = ("mult", "weight")
 
     def __init__(self, mult: Iterable[int]):
-        vec = [int(m) for m in mult]
+        vec = list(map(index, mult))  # TypeError on non-integers, no truncation
         while vec and vec[-1] == 0:
             vec.pop()
-        if any(m < 0 for m in vec):
+        if vec and min(vec) < 0:
             raise ValueError("multiplicities must be nonnegative")
         self.mult: tuple[int, ...] = tuple(vec)
-        self.weight: int = sum(i * m for i, m in enumerate(self.mult, start=1))
+        self.weight: int = sum(map(mul, vec, range(1, len(vec) + 1)))
 
     @classmethod
     def from_parts(cls, parts: Iterable[int]) -> "Partition":
         """Build a partition from an iterable of positive part sizes."""
-        parts = list(parts)
-        if any(p <= 0 for p in parts):
+        parts = list(map(index, parts))
+        if parts and min(parts) <= 0:
             raise ValueError("parts must be positive integers")
         vec = [0] * (max(parts) if parts else 0)
         for p in parts:
@@ -83,24 +82,32 @@ class Partition:
         return f"Partition({self.mult!r})"
 
 
-def _part_lists(n: int, cap: int) -> Iterator[tuple[int, ...]]:
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, cap), 0, -1):
-        for rest in _part_lists(n - first, first):
-            yield (first, *rest)
-
-
 def enumerate_partitions(n: int) -> list[Partition]:
     """Every partition of n exactly once, by decreasing lexicographic part list.
 
     The first entry is the single part (n), the last is all ones, and
-    repeated calls return identical lists.
+    repeated calls return identical lists.  Each step pools one part of the
+    smallest size k > 1 with the ones and refills greedily with parts < k.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return [Partition.from_parts(p) for p in _part_lists(n, n)]
+    vec = [0] * (n - 1) + [1] if n else []  # vec[i - 1] counts the parts of size i
+    out = [Partition(vec)]
+    top = k = n  # the largest part size; the smallest above 1, or 1 if none
+    while k > 1:
+        vec[k - 1] -= 1
+        q, r = divmod(vec[0] + k, k - 1)
+        vec[0] = 0
+        vec[k - 2] = q
+        if r:
+            vec[r - 1] += 1
+        if not vec[top - 1]:
+            top = k - 1
+        k = r if r > 1 else k - 1
+        if k == 1:
+            k = next((i for i in range(2, top + 1) if vec[i - 1]), 1)
+        out.append(Partition(vec[:top]))
+    return out
 
 
 def remove_part(alpha: Partition, i: int) -> Partition:
@@ -117,38 +124,24 @@ def num_parts(alpha: Partition) -> int:
     return sum(alpha.mult)
 
 
-# Shared memo for c.  Writes are idempotent (the recursion is pure), so
-# concurrent readers computing the same entry can only agree.
-_C_MEMO: dict[tuple[int, ...], int] = {}
-
-
 def c_value(alpha: Partition) -> int:
     """The signed weight c(alpha), an exact integer.
 
+    Evaluated by the module's closed form, a multinomial expansion that
+    shares no code with the triangular solve in `series.log_coefficients`,
+    so the stratified and log-series routes stay independent; the recursion
+    is checked by `kummer.verify_single_step`.  A remainder raises `ArithmeticError`.
+
     Rejects the empty partition: c is only defined for weight >= 1.
     """
-    if alpha.weight == 0:
+    n = alpha.weight
+    if n == 0:
         raise ValueError("c is undefined for the empty partition")
-    return _c_recurse(alpha.mult, alpha.weight)
-
-
-def _c_recurse(mult: tuple[int, ...], weight: int) -> int:
-    cached = _C_MEMO.get(mult)
-    if cached is not None:
-        return cached
-    if sum(mult) == 1:
-        value = weight
-    else:
-        total = 0
-        for i, m in enumerate(mult, start=1):
-            if m:
-                hat = mult[: i - 1] + (m - 1,) + mult[i:]
-                while hat and hat[-1] == 0:
-                    hat = hat[:-1]
-                total += _c_recurse(hat, weight - i)
-        value = -total
-    _C_MEMO[mult] = value
-    return value
+    parts = sum(alpha.mult)
+    value, rem = divmod(n * factorial(parts - 1), prod(map(factorial, alpha.mult)))
+    if rem:
+        raise ArithmeticError(f"c({alpha.label()}) is not an integer")
+    return value if parts % 2 else -value
 
 
 def weighted_product(alpha: Partition, table: Sequence[int]) -> int:
@@ -157,10 +150,6 @@ def weighted_product(alpha: Partition, table: Sequence[int]) -> int:
     ``table`` is indexed by part size, so it must reach index i for every
     size present in alpha.  The empty partition gives 1.
     """
-    value = 1
-    for i, m in enumerate(alpha.mult, start=1):
-        if m:
-            if i >= len(table):
-                raise ValueError(f"table has no entry for part size {i}")
-            value *= table[i] ** m
-    return value
+    if alpha.mult and len(alpha.mult) >= len(table):
+        raise ValueError(f"table has no entry for part size {len(alpha.mult)}")
+    return prod(map(pow, table[1:], alpha.mult))

@@ -204,3 +204,25 @@ def test_run_all_verifiers():
         "first-order(g=3)",
     ]
     assert all(r.passed for r in reports)
+
+
+def test_run_all_verifiers_builds_each_table_once(monkeypatch):
+    from kummerchi import kummer
+
+    built = []
+
+    def counting_table(d, max_n, enum_cap=None):
+        built.append(d)
+        return partition_count_table(d, max_n, enum_cap=enum_cap)
+
+    monkeypatch.setattr(kummer, "partition_count_table", counting_table)
+    reports = run_all_verifiers(8, [2, 4])
+    assert all(r.passed for r in reports)
+    # P_2 for the sigma_2 convolution, then P_1 and P_3 once each
+    assert built == [2, 1, 3]
+
+
+def test_verifiers_accept_a_precomputed_table():
+    table = partition_count_table(3, 8)
+    assert verify_chi_series(4, 8, table=table) == verify_chi_series(4, 8)
+    assert verify_first_order(4, 8, table=table) == verify_first_order(4, 8)

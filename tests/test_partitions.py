@@ -1,4 +1,6 @@
 import random
+from functools import lru_cache
+from math import comb
 
 import pytest
 
@@ -36,6 +38,23 @@ def partition_count_oracle(n):
     return table[n][n]
 
 
+# Third oracle: the defining signed recursion for c, on multiplicity tuples.
+@lru_cache(maxsize=None)
+def c_by_recursion(mult):
+    weight = sum(i * m for i, m in enumerate(mult, start=1))
+    if sum(mult) == 1:
+        return weight
+    total = 0
+    for i, m in enumerate(mult, start=1):
+        if m:
+            hat = list(mult)
+            hat[i - 1] -= 1
+            while hat and hat[-1] == 0:
+                hat.pop()
+            total += c_by_recursion(tuple(hat))
+    return -total
+
+
 def test_canonical_form_trims_trailing_zeros():
     assert Partition((1, 1, 0, 0)).mult == (1, 1)
     assert Partition(()).mult == ()
@@ -59,6 +78,18 @@ def test_negative_multiplicity_rejected():
         Partition.from_parts([0])
 
 
+def test_non_integer_multiplicities_and_parts_rejected():
+    # these used to be truncated silently: Partition([1.5]).mult == (1,)
+    for bad in ([1.5], [True, 2.9], [1, "2"]):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            Partition(bad)
+    for bad in ([2.5], [1, 1.0]):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            Partition.from_parts(bad)
+    assert Partition([True, 2]).mult == (1, 2)  # bool is an int
+    assert Partition.from_parts([True, 2]) == Partition((1, 1))
+
+
 def test_enumerate_small_cases():
     assert [p.mult for p in enumerate_partitions(0)] == [()]
     assert {p.mult for p in enumerate_partitions(3)} == {(0, 0, 1), (1, 1), (3,)}
@@ -72,6 +103,14 @@ def test_enumerate_order_is_decreasing_lex():
         lists = [p.parts() for p in enumerate_partitions(n)]
         assert lists == sorted(lists, reverse=True)
         assert len(set(lists)) == len(lists)
+
+
+def test_enumerate_order_matches_oracle_up_to_30():
+    for n in range(31):
+        ours = enumerate_partitions(n)
+        oracle = sorted((tuple(reversed(p)) for p in ascending_part_lists(n)), reverse=True)
+        assert [p.parts() for p in ours] == oracle
+        assert all(p.weight == n and p == Partition.from_parts(p.parts()) for p in ours)
 
 
 def test_enumerate_matches_independent_oracles():
@@ -146,6 +185,25 @@ def test_c_value_call_order_does_not_matter():
     first = {a.mult: c_value(a) for a in shuffled}
     second = {a.mult: c_value(a) for a in everything}
     assert first == second
+
+
+def test_c_value_matches_recursion_oracle_up_to_22():
+    for n in range(1, 23):
+        for alpha in enumerate_partitions(n):
+            assert c_value(alpha) == c_by_recursion(alpha.mult), alpha
+
+
+def test_c_value_at_large_weight():
+    # n = 60 is past the enumeration cap; c_value itself has no cap
+    assert c_value(Partition.from_parts([60])) == 60
+    assert c_value(Partition((60,))) == -1  # 1^60: (-1)^59 * 60 * 59! / 60!
+    assert c_value(Partition.from_parts([30, 30])) == -30
+    assert c_value(Partition.from_parts([59, 1])) == -60
+    assert c_value(Partition.from_parts([20, 20, 20])) == 20
+    assert c_value(Partition((58, 1))) == 60  # 1^58 2^1: 60 * 58! / 58!
+    # 1^30 2^15: 60 * 44! / (30! 15!) = 60 * C(44, 14) / 15
+    assert c_value(Partition((30, 15))) == 4 * comb(44, 14)
+    assert c_value(Partition((30, 15))) == c_by_recursion((30, 15))
 
 
 def test_c_value_satisfies_its_recursion():

@@ -42,6 +42,7 @@ from .kummer import (
     dt_invariant,
     kummer_rows,
     ns_from_c,
+    partition_count_rows,
     partition_count_table,
     run_all_verifiers,
     sigma,
@@ -81,6 +82,7 @@ __all__ = [
     "dt_invariant",
     "kummer_rows",
     "ns_from_c",
+    "partition_count_rows",
     "partition_count_table",
     "run_all_verifiers",
     "sigma",

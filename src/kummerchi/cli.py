@@ -18,18 +18,12 @@ import argparse
 import csv
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__
-from .dd_partitions import (
-    EnumerationCapError,
-    check_enumeration_cap,
-    count_pd,
-    count_pd_alt,
-    enumeration_cap,
-)
+from .dd_partitions import EnumerationCapError, check_enumeration_cap
 from .kummer import (
     kummer_rows,
+    partition_count_rows,
     partition_count_table,
     run_all_verifiers,
     sigma,
@@ -156,19 +150,7 @@ def cmd_c_table(args, out=None) -> int:
 def cmd_pd(args, out=None) -> int:
     out = out or sys.stdout
     d, max_n = args.dim, args.max_n
-    cap = args.enum_cap if args.enum_cap is not None else enumeration_cap(d)
-    if d >= 4 and max_n > cap:
-        # no product formula and no cap-free cross-check this high up
-        raise EnumerationCapError(d, max_n, cap)
-    rows = []
-    for n in range(max_n + 1):
-        value = count_pd(d, n)
-        checked = n <= cap
-        if checked:
-            alt = count_pd_alt(d, n, enum_cap=cap)
-            if alt != value:
-                raise ArithmeticError(f"P_{d}({n}): layered gives {value}, DFS gives {alt}")
-        rows.append((n, value, checked))
+    rows = partition_count_rows(d, max_n, enum_cap=args.enum_cap)
     if args.format == "json":
         payload = {
             "command": "pd",

@@ -5,8 +5,7 @@ decreasing along every coordinate axis, with total sum n.  P_d(n)
 counts them; P_d(0) = 1 by convention (the empty partition).  Ordinary
 partitions are d = 1, plane partitions d = 2, solid partitions d = 3.
 
-Two encodings are used, one per algorithm, with conversions between
-them on `DdPartition`:
+Two encodings are used, one per algorithm:
 
 * box sets -- f corresponds to the set of n "boxes" in N^(d+1) given by
   (x_1, ..., x_d, h) with h < f(x_1, ..., x_d); weak monotonicity of f
@@ -25,16 +24,18 @@ them on `DdPartition`:
   set, nesting d + 1 levels deep.  `count_pd` counts reps layer by
   layer: choose the first slice J inside the current bound, then count
   the tail bounded by J, memoizing on (bound, remaining weight) with
-  bounds clipped to canonical form.
+  bounds clipped to canonical form.  The reps are its memo keys.
 
 Brute-force work is refused beyond a configurable cap on n (see
 `DEFAULT_ENUM_CAPS`) by raising `EnumerationCapError` instead of
 starting a search that cannot finish at a desk.  The layered recursion
-behind `count_pd` carries no cap.
+behind `count_pd` carries no such cap; it recurses about once per unit
+of n and refuses n above half the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -117,41 +118,6 @@ class DdPartition:
     @property
     def weight(self) -> int:
         return len(self.boxes)
-
-    def heights(self) -> dict[tuple[int, ...], int]:
-        """The height function as a finite-support map N^d -> positive heights."""
-        out: dict[tuple[int, ...], int] = {}
-        for cell in self.boxes:
-            base = cell[:-1]
-            out[base] = out.get(base, 0) + 1
-        return out
-
-    def to_rep(self):
-        """Nested-tuple encoding of the box set (see the module docstring)."""
-
-        def encode(k: int, cells: list[tuple[int, ...]]):
-            if k == 1:
-                return len(cells)
-            slices: dict[int, list[tuple[int, ...]]] = {}
-            for c in cells:
-                slices.setdefault(c[0], []).append(c[1:])
-            return tuple(encode(k - 1, slices[j]) for j in range(len(slices)))
-
-        return encode(self.dim + 1, list(self.boxes))
-
-    @classmethod
-    def from_rep(cls, dim: int, rep) -> "DdPartition":
-        """Inverse of `to_rep`; validates the rep via the constructor."""
-
-        def expand(k: int, rep) -> list[tuple[int, ...]]:
-            if k == 1:
-                return [(i,) for i in range(rep)]
-            cells: list[tuple[int, ...]] = []
-            for j, sub in enumerate(rep):
-                cells.extend((j, *c) for c in expand(k - 1, sub))
-            return cells
-
-        return cls(dim, expand(dim + 1, rep))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -241,8 +207,20 @@ def _full_bound(d: int, n: int):
 
 
 def count_pd(d: int, n: int) -> int:
-    """Exact P_d(n) by the layered recursion.  Uncapped; d >= 4 works but slows."""
+    """Exact P_d(n) by the layered recursion; d >= 4 works but slows.
+
+    No enumeration cap applies.  The recursion is about n + d frames
+    deep, so n above half of `sys.getrecursionlimit()` raises
+    `EnumerationCapError` before any counting; `partition_count_table`
+    serves d <= 2 at any n from the product formulas.
+    """
     _validate_dn(d, n)
+    depth_cap = sys.getrecursionlimit() // 2
+    if n > depth_cap:
+        err = EnumerationCapError(d, n, depth_cap)
+        err.args = (f"{err} set by the recursion limit; partition_count_table "
+                    "serves d <= 2 at any n",)
+        raise err
     return _chain_count(d, _full_bound(d, n), n)
 
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Iterable, Sequence
 
-from .dd_partitions import check_enumeration_cap, count_pd, count_pd_alt
+from .dd_partitions import check_enumeration_cap, count_pd, count_pd_alt, enumeration_cap
 from .partitions import (
     c_value,
     enumerate_partitions,
@@ -46,6 +46,7 @@ __all__ = [
     "dt_invariant",
     "ns_from_c",
     "partition_count_table",
+    "partition_count_rows",
     "KummerRow",
     "kummer_rows",
     "Check",
@@ -79,6 +80,29 @@ def chi_kummer_closed(n: int) -> int:
     return n**5 * sigma(2, n)
 
 
+def _pd_values(d: int, max_n: int) -> list[int]:
+    """[P_d(0), ..., P_d(max_n)] by the route for d, unchecked.
+
+    Ones for d = 0, the Euler and MacMahon product expansions for d = 1
+    and d = 2, the layered `count_pd` for d >= 3.
+    """
+    if d == 0:
+        return [1] * (max_n + 1)
+    if d <= 2:
+        ser = product_expansion((lambda k: 1) if d == 1 else (lambda k: k), max_n)
+        return [int(c) for c in ser.coeffs]
+    return [count_pd(d, n) for n in range(max_n + 1)]
+
+
+def _cross_check(d: int, values: Sequence[int], cap: int) -> None:
+    """Compare every entry with n <= cap against the DFS counter `count_pd_alt`."""
+    route = "product" if d <= 2 else "layered"
+    for n, value in enumerate(values[: cap + 1]):
+        alt = count_pd_alt(d, n, enum_cap=cap)
+        if alt != value:
+            raise ArithmeticError(f"P_{d}({n}): {route} gives {value}, DFS gives {alt}")
+
+
 def partition_count_table(d: int, max_n: int, enum_cap: int | None = None) -> list[int]:
     """[P_d(0), ..., P_d(max_n)] for d >= 0; P_0(n) = 1 for all n.
 
@@ -90,20 +114,34 @@ def partition_count_table(d: int, max_n: int, enum_cap: int | None = None) -> li
         raise ValueError("d must be nonnegative")
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    if d == 0:
-        return [1] * (max_n + 1)
     if d <= 2:
-        ser = product_expansion((lambda k: 1) if d == 1 else (lambda k: k), max_n)
-        return [int(c) for c in ser.coeffs]
+        return _pd_values(d, max_n)
     check_enumeration_cap(d, max_n, enum_cap)
-    values = []
-    for n in range(max_n + 1):
-        v = count_pd(d, n)
-        alt = count_pd_alt(d, n, enum_cap=enum_cap)
-        if v != alt:
-            raise ArithmeticError(f"P_{d}({n}): layered gives {v}, DFS gives {alt}")
-        values.append(v)
+    values = _pd_values(d, max_n)
+    _cross_check(d, values, max_n)
     return values
+
+
+def partition_count_rows(
+    d: int, max_n: int, enum_cap: int | None = None
+) -> list[tuple[int, int, bool]]:
+    """(n, P_d(n), cross-checked) for n = 0..max_n, d >= 1: the rows `pd` prints.
+
+    The values come from the same routes as `partition_count_table`;
+    every entry with n at most the cap is cross-checked by the DFS.  For
+    d <= 3 the entries above the cap are left unchecked; d >= 4 has no
+    product formula and no cross-check past the cap, so it is refused.
+    """
+    if d < 1:
+        raise ValueError("d must be a positive integer")
+    if max_n < 0:
+        raise ValueError("max_n must be nonnegative")
+    cap = enum_cap if enum_cap is not None else enumeration_cap(d)
+    if d >= 4:
+        check_enumeration_cap(d, max_n, cap)
+    values = _pd_values(d, max_n)
+    _cross_check(d, values, cap)
+    return [(n, value, n <= cap) for n, value in enumerate(values)]
 
 
 def ns_from_c(

@@ -5,7 +5,7 @@ The kernels `product_expansion` and `log_coefficients` compute over
 A `TruncatedSeries` of order N holds the coefficients of q^0 .. q^N of a
 series with true rationals as `fractions.Fraction`s, never floats.
 Binary operations insist that both operands carry the same order;
-changing order is a deliberate act done with `retruncate`.
+series of different orders are never silently combined.
 
 `FirstOrderSeries` adjoins a square-zero element eps: coefficients live
 in Q[eps]/(eps^2), stored as a pair of ordinary series (the eps^0 and
@@ -62,19 +62,12 @@ class TruncatedSeries:
             raise TypeError(f"expected a TruncatedSeries, got {type(other).__name__}")
         if len(self.coeffs) != len(other.coeffs):
             raise OrderMismatchError(
-                f"orders differ: {self.order} vs {other.order}; retruncate first"
+                f"orders differ: {self.order} vs {other.order}"
             )
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._same_order(other)
         return TruncatedSeries(a + b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._same_order(other)
-        return TruncatedSeries(a - b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(-c for c in self.coeffs)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._same_order(other)
@@ -88,14 +81,6 @@ class TruncatedSeries:
                 if b:
                     out[i + j] += a * b
         return TruncatedSeries(out)
-
-    def retruncate(self, order: int) -> "TruncatedSeries":
-        """The same series at a new order, padding with zeros or dropping tails."""
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        if order <= self.order:
-            return TruncatedSeries(self.coeffs[: order + 1])
-        return TruncatedSeries(self.coeffs + (Fraction(0),) * (order - self.order))
 
     def q_ddq(self) -> "TruncatedSeries":
         """The derivation q d/dq: c_n goes to n*c_n."""
@@ -206,23 +191,6 @@ class FirstOrderSeries:
     @property
     def order(self) -> int:
         return self.real.order
-
-    @classmethod
-    def one(cls, order: int) -> "FirstOrderSeries":
-        return cls(TruncatedSeries.one(order), TruncatedSeries.zero(order))
-
-    def __add__(self, other: "FirstOrderSeries") -> "FirstOrderSeries":
-        return FirstOrderSeries(self.real + other.real, self.eps + other.eps)
-
-    def __sub__(self, other: "FirstOrderSeries") -> "FirstOrderSeries":
-        return FirstOrderSeries(self.real - other.real, self.eps - other.eps)
-
-    def __mul__(self, other: "FirstOrderSeries") -> "FirstOrderSeries":
-        # eps^2 = 0 kills the eps*eps cross term
-        return FirstOrderSeries(
-            self.real * other.real,
-            self.real * other.eps + self.eps * other.real,
-        )
 
     def exp(self) -> "FirstOrderSeries":
         """exp(a + eps*b) = exp(a) * (1 + eps*b); the eps^0 part must start at 0."""

@@ -13,7 +13,7 @@ from kummerchi.cli import (
     exit_code_for_reports,
     main,
 )
-from kummerchi.kummer import Check, Report, kummer_rows
+from kummerchi.kummer import Check, Report, kummer_rows, partition_count_table
 
 
 def run_cli(capsys, *argv):
@@ -113,6 +113,15 @@ def test_pd_json_flags_unchecked_tail(capsys):
     assert by_n[17]["cross_checked"] is False
     assert by_n[18]["cross_checked"] is False
     assert by_n[12]["count"] == 1479
+
+
+def test_pd_plane_partitions_from_the_product(capsys):
+    # the layered count took minutes here; the MacMahon product does not
+    code, out, _ = run_cli(capsys, "pd", "--dim", "2", "--max-n", "60", "--format", "json")
+    assert code == EXIT_OK
+    rows = json.loads(out)["rows"]
+    assert [row["count"] for row in rows] == partition_count_table(2, 60)
+    assert [row["n"] for row in rows if row["cross_checked"]] == list(range(17))
 
 
 def test_pd_zero_row(capsys):

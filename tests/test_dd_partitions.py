@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from kummerchi.dd_partitions import (
+    _CHAIN_MEMO,
     DEFAULT_ENUM_CAPS,
     DdPartition,
     EnumerationCapError,
@@ -12,6 +13,7 @@ from kummerchi.dd_partitions import (
     enumerate_pd,
     enumeration_cap,
 )
+from kummerchi.kummer import partition_count_table
 from kummerchi.series import product_expansion
 
 
@@ -156,33 +158,6 @@ def test_ddpartition_validates_downward_closure():
         DdPartition(2, {(0, -1, 0)})
 
 
-def test_heights_view():
-    obj = DdPartition(2, {(0, 0, 0), (0, 0, 1), (1, 0, 0)})
-    assert obj.heights() == {(0, 0): 2, (1, 0): 1}
-    # heights weakly decrease along every axis
-    for p in enumerate_pd(2, 6):
-        h = p.heights()
-        for base, v in h.items():
-            for j in range(2):
-                succ = base[:j] + (base[j] + 1,) + base[j + 1 :]
-                assert h.get(succ, 0) <= v
-        assert sum(h.values()) == p.weight
-
-
-def test_rep_round_trip():
-    for d, n in ((1, 6), (2, 5), (3, 4)):
-        for obj in enumerate_pd(d, n):
-            rep = obj.to_rep()
-            assert DdPartition.from_rep(d, rep) == obj
-
-
-def test_rep_examples():
-    pile = DdPartition(2, {(0, 0, 0), (0, 0, 1)})
-    assert pile.to_rep() == ((2,),)
-    row = DdPartition(2, {(0, 0, 0), (1, 0, 0)})
-    assert row.to_rep() == ((1,), (1,))
-
-
 def test_caps_raise_distinct_error():
     assert enumeration_cap(2) == DEFAULT_ENUM_CAPS[2] == 16
     assert enumeration_cap(3) == 12
@@ -204,3 +179,13 @@ def test_cap_override():
 def test_cap_does_not_gate_count_pd():
     # 20 is past the d=2 enumeration cap; the layered recursion still runs
     assert count_pd(2, 20) == product_expansion(lambda k: k, 20)[20]
+
+
+def test_count_pd_refuses_past_recursion_depth():
+    # count_pd(1, 1200) used to die with RecursionError deep in the count
+    entries = len(_CHAIN_MEMO)
+    with pytest.raises(EnumerationCapError, match="partition_count_table") as info:
+        count_pd(1, 1200)
+    assert (info.value.d, info.value.n) == (1, 1200)
+    assert len(_CHAIN_MEMO) == entries  # refused before counting
+    assert count_pd(1, 200) == partition_count_table(1, 200)[200]

@@ -12,6 +12,7 @@ from kummerchi.kummer import (
     dt_invariant,
     kummer_rows,
     ns_from_c,
+    partition_count_rows,
     partition_count_table,
     run_all_verifiers,
     sigma,
@@ -226,3 +227,53 @@ def test_verifiers_accept_a_precomputed_table():
     table = partition_count_table(3, 8)
     assert verify_chi_series(4, 8, table=table) == verify_chi_series(4, 8)
     assert verify_first_order(4, 8, table=table) == verify_first_order(4, 8)
+
+
+def test_partition_count_rows_flags_and_routes():
+    rows = partition_count_rows(3, 13)
+    assert [v for _, v, _ in rows] == partition_count_table(3, 12) + [count_pd(3, 13)]
+    assert [n for n, _, checked in rows if checked] == list(range(13))
+    plane = partition_count_rows(2, 8, enum_cap=5)
+    assert plane == [(n, v, n <= 5) for n, v in enumerate(partition_count_table(2, 8))]
+    assert partition_count_rows(1, 12, enum_cap=10)[10:] == [
+        (10, 42, True), (11, 56, False), (12, 77, False)]
+
+
+def test_p_d_refusals_come_before_any_counting(monkeypatch):
+    from kummerchi import kummer
+
+    def no_counting(*args, **kwargs):
+        raise AssertionError("counted before refusing")
+
+    monkeypatch.setattr(kummer, "count_pd", no_counting)
+    monkeypatch.setattr(kummer, "count_pd_alt", no_counting)
+    with pytest.raises(EnumerationCapError):
+        partition_count_rows(4, 11)
+    with pytest.raises(EnumerationCapError):
+        partition_count_table(3, 13)
+    # the products serve table at any size without a DFS check
+    assert partition_count_table(2, 40)[40] == product_expansion(lambda k: k, 40)[40]
+
+
+def test_p_d_mismatch_names_both_counts(monkeypatch):
+    from kummerchi import kummer
+
+    real = kummer.count_pd_alt
+    wrong_at = []
+    monkeypatch.setattr(
+        kummer,
+        "count_pd_alt",
+        lambda d, n, enum_cap=None: 7 if n in wrong_at else real(d, n, enum_cap=enum_cap),
+    )
+    wrong_at[:] = [3]
+    with pytest.raises(ArithmeticError, match=r"P_1\(3\): product gives 3, DFS gives 7"):
+        partition_count_rows(1, 5)
+    # the entry at the cap is checked, the one past it is not
+    wrong_at[:] = [10]
+    with pytest.raises(ArithmeticError, match=r"P_1\(10\): product gives 42, DFS gives 7"):
+        partition_count_rows(1, 12, enum_cap=10)
+    wrong_at[:] = [11]
+    assert partition_count_rows(1, 12, enum_cap=10)[11] == (11, 56, False)
+    wrong_at[:] = [5]
+    with pytest.raises(ArithmeticError, match=r"P_3\(5\): layered gives 59, DFS gives 7"):
+        partition_count_table(3, 5)

@@ -48,8 +48,6 @@ def test_ring_operations():
     g = TruncatedSeries([1, -1, 0])  # 1 - q
     assert f * g == TruncatedSeries([1, 0, -1])
     assert f + g == TruncatedSeries([2, 0, 0])
-    assert f - g == TruncatedSeries([0, 2, 0])
-    assert -f == TruncatedSeries([-1, -1, 0])
     geo = TruncatedSeries([1] * 6)
     assert geo * TruncatedSeries([1, -1, 0, 0, 0, 0]) == TruncatedSeries.one(5)
 
@@ -57,18 +55,9 @@ def test_ring_operations():
 def test_order_mismatch_is_an_error():
     f = TruncatedSeries([1, 2])
     g = TruncatedSeries([1, 2, 3])
-    for op in (lambda: f + g, lambda: f - g, lambda: f * g):
+    for op in (lambda: f + g, lambda: f * g):
         with pytest.raises(OrderMismatchError):
             op()
-
-
-def test_retruncate():
-    f = TruncatedSeries([1, 2, 3])
-    assert f.retruncate(1) == TruncatedSeries([1, 2])
-    assert f.retruncate(4) == TruncatedSeries([1, 2, 3, 0, 0])
-    assert f.retruncate(3).retruncate(2) == f.retruncate(2)
-    with pytest.raises(ValueError):
-        f.retruncate(-1)
 
 
 def test_q_ddq():
@@ -199,28 +188,8 @@ def test_log_coefficients_then_exp_reproduces_counts():
 
 
 def test_first_order_basics():
-    one = FirstOrderSeries.one(3)
-    assert one.real == TruncatedSeries.one(3)
-    assert one.eps == TruncatedSeries.zero(3)
     with pytest.raises(OrderMismatchError):
         FirstOrderSeries(TruncatedSeries.one(2), TruncatedSeries.zero(3))
-
-
-def test_first_order_ring():
-    rng = random.Random(77)
-    for _ in range(30):
-        order = rng.randint(1, 8)
-        a = FirstOrderSeries(random_series(rng, order), random_series(rng, order))
-        b = FirstOrderSeries(random_series(rng, order), random_series(rng, order))
-        prod = a * b
-        assert prod.real == a.real * b.real
-        assert prod.eps == a.real * b.eps + a.eps * b.real
-        assert (a + b).real == a.real + b.real
-        # eps * eps = 0
-        eps_only = FirstOrderSeries(TruncatedSeries.zero(order), random_series(rng, order))
-        square = eps_only * eps_only
-        assert square.real == TruncatedSeries.zero(order)
-        assert square.eps == TruncatedSeries.zero(order)
 
 
 def test_first_order_exp():

@@ -315,7 +315,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except EnumerationCapError as err:
-        print(f"error: {err}; raise the limit with --enum-cap", file=sys.stderr)
+        hint = "" if err.fixed_by else "; raise the limit with --enum-cap"
+        print(f"error: {err}{hint}", file=sys.stderr)
         return EXIT_CAP
 
 

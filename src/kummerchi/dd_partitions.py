@@ -10,11 +10,13 @@ Two encodings are used, one per algorithm:
 * box sets -- f corresponds to the set of n "boxes" in N^(d+1) given by
   (x_1, ..., x_d, h) with h < f(x_1, ..., x_d); weak monotonicity of f
   is exactly downward closure of the box set (every coordinatewise
-  predecessor of a box is a box).  The enumerator and `count_pd_alt`
+  predecessor of a box is a box).  The DFS counters and the enumerator
   walk these sets directly, growing them one box at a time in strictly
   increasing lexicographic order.  Lexicographic order extends the
   coordinatewise order, so every prefix of the sorted box list is
   itself downward closed and every ideal is generated exactly once.
+  One walk to N counts every size up to N: each ideal it visits adds
+  its addable boxes to the count one size up.
 
 * nested tuples ("rep") -- a downward-closed subset of N^1 is encoded
   by its size, an int; one of N^k for k >= 2 by the tuple of its slices
@@ -24,13 +26,16 @@ Two encodings are used, one per algorithm:
   set, nesting d + 1 levels deep.  `count_pd` counts reps layer by
   layer: choose the first slice J inside the current bound, then count
   the tail bounded by J, memoizing on (bound, remaining weight) with
-  bounds clipped to canonical form.  The reps are its memo keys.
+  bounds clipped to canonical form.  The first slices are streamed, the
+  lower-level slice lists cached; memo and cache live for one call,
+  which `count_pd_table` shares across n = 0..N.
 
 Brute-force work is refused beyond a configurable cap on n (see
 `DEFAULT_ENUM_CAPS`) by raising `EnumerationCapError` instead of
 starting a search that cannot finish at a desk.  The layered recursion
-behind `count_pd` carries no such cap; it recurses about once per unit
-of n and refuses n above half the interpreter's recursion limit.
+carries no such cap; it recurses about once per unit of n and refuses
+n above half the interpreter's recursion limit, and for d = 3 above a
+fixed cap set by its running time (`_LAYERED_CAPS`), before counting.
 """
 
 from __future__ import annotations
@@ -45,6 +50,8 @@ __all__ = [
     "check_enumeration_cap",
     "count_pd",
     "count_pd_alt",
+    "count_pd_alt_table",
+    "count_pd_table",
     "enumerate_pd",
     "enumeration_cap",
 ]
@@ -54,18 +61,23 @@ __all__ = [
 # P_3(12) = 13426, P_4(10) = 13220) keep a full walk comfortably fast.
 DEFAULT_ENUM_CAPS: dict[int, int] = {1: 40, 2: 16, 3: 12}
 _HIGHER_DIM_CAP = 10
+# Caps on n for the layered count that no enum_cap lifts: the d = 3 table
+# took 37 s up to n = 23 and 69 s up to 24 (2-vCPU host, Python 3.11).
+_LAYERED_CAPS: dict[int, int] = {3: 23}
 
 
 class EnumerationCapError(RuntimeError):
     """Raised instead of starting an enumeration that exceeds the cap."""
 
-    def __init__(self, d: int, n: int, cap: int):
+    def __init__(self, d: int, n: int, cap: int, fixed_by: str | None = None):
         super().__init__(
             f"enumerating {d}-dimensional partitions of {n} exceeds the cap of {cap}"
+            + (f" set by {fixed_by}" if fixed_by else "")
         )
         self.d = d
         self.n = n
         self.cap = cap
+        self.fixed_by = fixed_by
 
 
 def enumeration_cap(d: int) -> int:
@@ -135,22 +147,14 @@ class DdPartition:
 
 # --- layered counting recursion ------------------------------------------
 
-def _is_empty(d: int, rep) -> bool:
-    return rep == 0 if d == 1 else len(rep) == 0
-
-
 def _intersect(d: int, a, b):
-    # slices of the intersection are pairwise intersections; they stay
-    # weakly decreasing, so the first empty one ends the tuple
+    # slices of the intersection are pairwise intersections; every slice
+    # of a nonempty ideal holds the origin, so none of them is empty
     if d == 1:
         return a if a < b else b
-    out = []
-    for x, y in zip(a, b):
-        s = _intersect(d - 1, x, y)
-        if _is_empty(d - 1, s):
-            break
-        out.append(s)
-    return tuple(out)
+    if d == 2:
+        return tuple([x if x < y else y for x, y in zip(a, b)])
+    return tuple([_intersect(d - 1, x, y) for x, y in zip(a, b)])
 
 
 def _clip(d: int, rep, m: int):
@@ -158,46 +162,18 @@ def _clip(d: int, rep, m: int):
     # never reach past it, so clipping canonicalizes memo keys
     if d == 1:
         return rep if rep < m else m
-    return tuple(_clip(d - 1, sl, m) for sl in rep[:m]) if m else ()
+    if d == 2:
+        return tuple([x if x < m else m for x in rep[:m]])
+    return tuple([_clip(d - 1, sl, m) for sl in rep[:m]])
 
 
-def _iter_subideals(d: int, bound, cap: int) -> Iterator[tuple[object, int]]:
-    """Yield (rep, size) for every nonempty ideal inside `bound` of size <= cap."""
-    if d == 1:
-        for s in range(1, min(bound, cap) + 1):
-            yield s, s
-        return
-
-    def extend(prefix: tuple, size: int, prev) -> Iterator[tuple[object, int]]:
-        t = len(prefix)
-        if t < len(bound) and size < cap:
-            ceiling = bound[t] if prev is None else _intersect(d - 1, prev, bound[t])
-            for rep, s in _iter_subideals(d - 1, ceiling, cap - size):
-                yield from extend(prefix + (rep,), size + s, rep)
-        if prefix:
-            yield prefix, size
-
-    yield from extend((), 0, None)
-
-
-_CHAIN_MEMO: dict[tuple, int] = {}
-
-
-def _chain_count(d: int, bound, m: int) -> int:
-    """Number of weakly decreasing slice tuples inside `bound` of total size m."""
-    bound = _clip(d, bound, m)
-    key = (d, bound, m)
-    cached = _CHAIN_MEMO.get(key)
-    if cached is not None:
-        return cached
-    if m == 0:
-        total = 1
-    else:
-        total = 0
-        for rep, size in _iter_subideals(d, bound, m):
-            total += _chain_count(d, rep, m - size)
-    _CHAIN_MEMO[key] = total
-    return total
+def _fits(rep, m: int) -> bool:
+    # slices shrink, so a rep's extents are those of its first slices
+    while isinstance(rep, tuple) and rep:
+        if len(rep) > m:
+            return False
+        rep = rep[0]
+    return rep == () or rep <= m
 
 
 def _full_bound(d: int, n: int):
@@ -206,22 +182,89 @@ def _full_bound(d: int, n: int):
     return tuple(_full_bound(d - 1, n) for _ in range(n))
 
 
+def _layered_counts(d: int, ns: Iterable[int]) -> list[int]:
+    """P_d(n) for each n in `ns`, sharing one chain memo and slice cache."""
+    chains: dict[tuple, int] = {}  # (bound, m) -> number of chains
+    slices: dict[tuple, list] = {}  # (ceiling, cap) -> lower-level subideals
+    pairs: dict[tuple, tuple] = {}  # one shared copy of each listed (rep, size)
+
+    def lower(level: int, ceiling, cap: int) -> list:
+        """The cached list of `subideals(level, ceiling, cap)`."""
+        found = slices.get((ceiling, cap))
+        if found is None:  # clipping canonicalizes: many ceilings share a list
+            canon = ceiling if _fits(ceiling, cap) else _clip(level, ceiling, cap)
+            found = slices.get((canon, cap))
+            if found is None:
+                found = [pairs.setdefault(p, p) for p in subideals(level, canon, cap)]
+            slices[ceiling, cap] = slices[canon, cap] = found
+        return found
+
+    def subideals(level: int, bound, cap: int) -> Iterator[tuple[object, int]]:
+        """Yield (rep, size) for every nonempty ideal inside `bound` of size <= cap."""
+        if level == 1:
+            yield from ((s, s) for s in range(1, min(bound, cap) + 1))
+            return
+        # stack[t]: the choices of slice t (inside slice t - 1 and bound[t])
+        prefix = ()
+        stack = [(iter(lower(level - 1, bound[0], cap)), 0)] if bound and cap else []
+        while stack:
+            choices, before = stack[-1]
+            for rep, s in choices:
+                t = len(stack)
+                prefix = prefix[: t - 1] + (rep,)
+                size = before + s
+                yield prefix, size
+                if t < len(bound) and size < cap:
+                    ceiling = _intersect(level - 1, rep, bound[t])
+                    stack.append((iter(lower(level - 1, ceiling, cap - size)), size))
+                    break
+            else:
+                stack.pop()
+
+    def chain(bound, m: int) -> int:
+        """Number of weakly decreasing slice tuples inside `bound` of total size m."""
+        if not _fits(bound, m):
+            bound = _clip(d, bound, m)
+        key = (bound, m)
+        total = chains.get(key)
+        if total is None:
+            total = 1 if m == 0 else 0
+            for rep, size in subideals(d, bound, m):  # streamed, not cached
+                total += chain(rep, m - size)
+            chains[key] = total
+        return total
+
+    return [chain(_full_bound(d, n), n) for n in ns]
+
+
+def _refuse_layered(d: int, n: int) -> None:
+    _validate_dn(d, n)
+    depth_cap = sys.getrecursionlimit() // 2
+    if n > depth_cap:
+        raise EnumerationCapError(d, n, depth_cap, "the recursion limit; "
+                                  "partition_count_table serves d <= 2 at any n")
+    time_cap = _LAYERED_CAPS.get(d, n)
+    if n > time_cap:
+        raise EnumerationCapError(d, n, time_cap, "the running time of the layered count")
+
+
 def count_pd(d: int, n: int) -> int:
     """Exact P_d(n) by the layered recursion; d >= 4 works but slows.
 
     No enumeration cap applies.  The recursion is about n + d frames
     deep, so n above half of `sys.getrecursionlimit()` raises
-    `EnumerationCapError` before any counting; `partition_count_table`
-    serves d <= 2 at any n from the product formulas.
+    `EnumerationCapError` before any counting, and so does n above the
+    fixed d = 3 cap of `_LAYERED_CAPS`; `partition_count_table` serves
+    d <= 2 at any n.
     """
-    _validate_dn(d, n)
-    depth_cap = sys.getrecursionlimit() // 2
-    if n > depth_cap:
-        err = EnumerationCapError(d, n, depth_cap)
-        err.args = (f"{err} set by the recursion limit; partition_count_table "
-                    "serves d <= 2 at any n",)
-        raise err
-    return _chain_count(d, _full_bound(d, n), n)
+    _refuse_layered(d, n)
+    return _layered_counts(d, (n,))[0]
+
+
+def count_pd_table(d: int, max_n: int) -> list[int]:
+    """[P_d(0), ..., P_d(max_n)] by one layered count; refuses as `count_pd` does."""
+    _refuse_layered(d, max_n)
+    return _layered_counts(d, range(max_n + 1))
 
 
 # --- canonical-order DFS over box sets ------------------------------------
@@ -246,44 +289,56 @@ def _newly_addable(
 def _lex_walk(d: int, n: int) -> Iterator[tuple[set[tuple[int, ...]], list[tuple[int, ...]]]]:
     """The canonical lex-order DFS over box sets, n >= 1: yields (boxes, addable).
 
-    `boxes` holds n - 1 boxes (shared: it changes once the walk resumes);
-    each cell of `addable` completes it to a distinct partition of n.
+    Every ideal with fewer than n boxes is visited once, in lex order, as
+    `boxes` (shared: it changes once the walk resumes); each cell of
+    `addable` completes it to a distinct ideal with one box more.
     """
     k = d + 1
     boxes: set[tuple[int, ...]] = set()
-
-    def grow(addable: list[tuple[int, ...]], remaining: int):
-        if remaining == 1:
-            yield boxes, addable
-            return
-        for idx, cell in enumerate(addable):
+    root = [(0,) * k]
+    yield boxes, root
+    # per open ideal: its addable cells, the children left, the cell that made it
+    stack = [(root, enumerate(root), None)] if n > 1 else []
+    while stack:
+        addable, children, _ = stack[-1]
+        for idx, cell in children:
             boxes.add(cell)
             nxt = sorted(addable[idx + 1 :] + _newly_addable(boxes, cell, k))
-            yield from grow(nxt, remaining - 1)
+            yield boxes, nxt
+            if len(boxes) + 1 < n:
+                stack.append((nxt, enumerate(nxt), cell))
+                break
             boxes.remove(cell)
+        else:
+            boxes.discard(stack.pop()[2])
 
-    return grow([(0,) * k], n)
+
+def count_pd_alt_table(d: int, max_n: int, enum_cap: int | None = None) -> list[int]:
+    """[P_d(0), ..., P_d(max_n)] by one box-set DFS, subject to the enumeration cap.
+
+    Structurally independent of `count_pd`: no layer recursion, no memo,
+    just the canonical lex-order walk, which counts every size it passes.
+    """
+    _validate_dn(d, max_n)
+    check_enumeration_cap(d, max_n, enum_cap)
+    counts = [1] + [0] * max_n
+    if max_n:
+        for boxes, addable in _lex_walk(d, max_n):
+            counts[len(boxes) + 1] += len(addable)
+    return counts
 
 
 def count_pd_alt(d: int, n: int, enum_cap: int | None = None) -> int:
-    """P_d(n) again, by depth-first search over box sets.
-
-    Structurally independent of `count_pd`: no layer recursion, no memo,
-    just the canonical lex-order walk.  Subject to the enumeration cap.
-    """
-    _validate_dn(d, n)
-    check_enumeration_cap(d, n, enum_cap)
-    if n == 0:
-        return 1
-    return sum(len(addable) for _, addable in _lex_walk(d, n))
+    """P_d(n) again: the last entry of `count_pd_alt_table(d, n)`."""
+    return count_pd_alt_table(d, n, enum_cap)[n]
 
 
 def enumerate_pd(d: int, n: int, enum_cap: int | None = None) -> Iterator[DdPartition]:
     """Yield every d-dimensional partition of n exactly once.
 
     Same canonical lex-order walk as `count_pd_alt`, materializing each
-    leaf as a validated `DdPartition`.  Deterministic order; subject to
-    the enumeration cap.
+    completion of an ideal of n - 1 boxes as a validated `DdPartition`.
+    Deterministic order; subject to the enumeration cap.
     """
     _validate_dn(d, n)
     check_enumeration_cap(d, n, enum_cap)
@@ -291,5 +346,6 @@ def enumerate_pd(d: int, n: int, enum_cap: int | None = None) -> Iterator[DdPart
         yield DdPartition(d, frozenset())
         return
     for boxes, addable in _lex_walk(d, n):
-        for cell in addable:
-            yield DdPartition(d, boxes | {cell})
+        if len(boxes) == n - 1:
+            for cell in addable:
+                yield DdPartition(d, boxes | {cell})

@@ -29,7 +29,8 @@ from fractions import Fraction
 from math import isqrt
 from typing import Iterable, Sequence
 
-from .dd_partitions import check_enumeration_cap, count_pd, count_pd_alt, enumeration_cap
+from .dd_partitions import (check_enumeration_cap, count_pd_alt_table, count_pd_table,
+                            enumeration_cap)
 from .partitions import (
     c_value,
     enumerate_partitions,
@@ -84,21 +85,22 @@ def _pd_values(d: int, max_n: int) -> list[int]:
     """[P_d(0), ..., P_d(max_n)] by the route for d, unchecked.
 
     Ones for d = 0, the Euler and MacMahon product expansions for d = 1
-    and d = 2, the layered `count_pd` for d >= 3.
+    and d = 2, the layered `count_pd_table` for d >= 3.
     """
     if d == 0:
         return [1] * (max_n + 1)
     if d <= 2:
         ser = product_expansion((lambda k: 1) if d == 1 else (lambda k: k), max_n)
         return [int(c) for c in ser.coeffs]
-    return [count_pd(d, n) for n in range(max_n + 1)]
+    return count_pd_table(d, max_n)
 
 
 def _cross_check(d: int, values: Sequence[int], cap: int) -> None:
-    """Compare every entry with n <= cap against the DFS counter `count_pd_alt`."""
+    """Compare every entry with n <= cap against one DFS table, `count_pd_alt_table`."""
     route = "product" if d <= 2 else "layered"
-    for n, value in enumerate(values[: cap + 1]):
-        alt = count_pd_alt(d, n, enum_cap=cap)
+    top = min(cap, len(values) - 1)
+    alts = count_pd_alt_table(d, top, enum_cap=cap) if top >= 0 else []
+    for n, (value, alt) in enumerate(zip(values, alts)):
         if alt != value:
             raise ArithmeticError(f"P_{d}({n}): {route} gives {value}, DFS gives {alt}")
 

@@ -140,6 +140,21 @@ def test_pd_high_dimension_needs_cap(capsys):
     assert code == EXIT_OK
 
 
+def test_pd_dim3_refuses_past_the_layered_cap_at_once(capsys, monkeypatch):
+    from kummerchi import dd_partitions
+
+    def no_counting(*args):
+        raise AssertionError("counted before refusing")
+
+    monkeypatch.setattr(dd_partitions, "_layered_counts", no_counting)
+    for extra in ((), ("--enum-cap", "30")):
+        code, out, err = run_cli(capsys, "pd", "--dim", "3", "--max-n", "30", *extra)
+        assert code == EXIT_CAP
+        assert out == ""
+        assert "running time of the layered count" in err
+        assert "--enum-cap" not in err  # the override does not lift this cap
+
+
 def test_verify_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--max-n", "6", "--genus", "1,2,3")
     assert code == EXIT_OK

@@ -2,14 +2,16 @@ import itertools
 
 import pytest
 
+from kummerchi import dd_partitions
 from kummerchi.dd_partitions import (
-    _CHAIN_MEMO,
     DEFAULT_ENUM_CAPS,
     DdPartition,
     EnumerationCapError,
     check_enumeration_cap,
     count_pd,
     count_pd_alt,
+    count_pd_alt_table,
+    count_pd_table,
     enumerate_pd,
     enumeration_cap,
 )
@@ -107,6 +109,46 @@ def test_dimension_monotonicity():
         assert count_pd(3, n) <= count_pd(4, n)
 
 
+def test_layered_table_matches_known_values():
+    assert count_pd_table(1, len(P1_KNOWN) - 1) == P1_KNOWN
+    assert count_pd_table(2, len(P2_KNOWN) - 1) == P2_KNOWN
+    assert count_pd_table(3, len(P3_KNOWN) - 1) == P3_KNOWN
+    assert count_pd_table(4, 5) == [1, 1, 5, 15, 45, 120]
+    assert count_pd_table(3, 0) == [1]
+
+
+def test_dfs_table_matches_one_walk_per_n():
+    # one walk to the top counts every smaller size as a walk to it would
+    for d, top in ((1, 25), (2, 16), (3, 12), (4, 10)):
+        table = count_pd_alt_table(d, top, enum_cap=top)
+        assert table == [count_pd_alt(d, n, enum_cap=top) for n in range(top + 1)]
+    assert count_pd_alt_table(3, 12)[: len(P3_KNOWN)] == P3_KNOWN
+    assert count_pd_alt_table(2, 0) == [1]
+
+
+def test_table_forms_refuse_and_validate():
+    with pytest.raises(EnumerationCapError):
+        count_pd_alt_table(3, 13)
+    with pytest.raises(ValueError):
+        count_pd_table(0, 3)
+    with pytest.raises(ValueError):
+        count_pd_alt_table(2, -1)
+
+
+def test_layered_count_refuses_past_its_fixed_d3_cap(monkeypatch):
+    # pd --dim 3 --max-n 30 used to run for hours; enum_cap does not lift this
+    def no_counting(*args):
+        raise AssertionError("counted before refusing")
+
+    monkeypatch.setattr(dd_partitions, "_layered_counts", no_counting)
+    cap = dd_partitions._LAYERED_CAPS[3]
+    for call in (lambda: count_pd(3, cap + 1), lambda: count_pd_table(3, 30)):
+        with pytest.raises(EnumerationCapError, match="running time") as info:
+            call()
+        assert info.value.d == 3 and info.value.cap == cap
+        assert info.value.fixed_by
+
+
 def test_count_pd_d4_small():
     # hand check: f(0)=2, or f(0)=1 plus one neighbor in any of 4 directions
     assert count_pd(4, 2) == 5
@@ -181,11 +223,14 @@ def test_cap_does_not_gate_count_pd():
     assert count_pd(2, 20) == product_expansion(lambda k: k, 20)[20]
 
 
-def test_count_pd_refuses_past_recursion_depth():
+def test_count_pd_refuses_past_recursion_depth(monkeypatch):
     # count_pd(1, 1200) used to die with RecursionError deep in the count
-    entries = len(_CHAIN_MEMO)
-    with pytest.raises(EnumerationCapError, match="partition_count_table") as info:
-        count_pd(1, 1200)
+    def no_counting(*args):
+        raise AssertionError("counted before refusing")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dd_partitions, "_layered_counts", no_counting)
+        with pytest.raises(EnumerationCapError, match="partition_count_table") as info:
+            count_pd(1, 1200)
     assert (info.value.d, info.value.n) == (1, 1200)
-    assert len(_CHAIN_MEMO) == entries  # refused before counting
     assert count_pd(1, 200) == partition_count_table(1, 200)[200]

@@ -245,8 +245,8 @@ def test_p_d_refusals_come_before_any_counting(monkeypatch):
     def no_counting(*args, **kwargs):
         raise AssertionError("counted before refusing")
 
-    monkeypatch.setattr(kummer, "count_pd", no_counting)
-    monkeypatch.setattr(kummer, "count_pd_alt", no_counting)
+    monkeypatch.setattr(kummer, "count_pd_table", no_counting)
+    monkeypatch.setattr(kummer, "count_pd_alt_table", no_counting)
     with pytest.raises(EnumerationCapError):
         partition_count_rows(4, 11)
     with pytest.raises(EnumerationCapError):
@@ -255,15 +255,42 @@ def test_p_d_refusals_come_before_any_counting(monkeypatch):
     assert partition_count_table(2, 40)[40] == product_expansion(lambda k: k, 40)[40]
 
 
+def test_cross_check_walks_once_per_table(monkeypatch):
+    from kummerchi import kummer
+
+    real = kummer.count_pd_alt_table
+    calls = []
+
+    def counted(d, max_n, enum_cap=None):
+        calls.append((d, max_n, enum_cap))
+        return real(d, max_n, enum_cap=enum_cap)
+
+    monkeypatch.setattr(kummer, "count_pd_alt_table", counted)
+    partition_count_rows(3, 13)
+    assert calls == [(3, 12, 12)]
+    calls.clear()
+    partition_count_table(3, 8)
+    assert calls == [(3, 8, 8)]
+    calls.clear()
+    partition_count_rows(1, 30, enum_cap=20)
+    assert calls == [(1, 20, 20)]
+    calls.clear()
+    assert partition_count_rows(2, 3, enum_cap=5) == [
+        (0, 1, True), (1, 1, True), (2, 3, True), (3, 6, True)]
+    assert calls == [(2, 3, 5)]
+
+
 def test_p_d_mismatch_names_both_counts(monkeypatch):
     from kummerchi import kummer
 
-    real = kummer.count_pd_alt
+    real = kummer.count_pd_alt_table
     wrong_at = []
     monkeypatch.setattr(
         kummer,
-        "count_pd_alt",
-        lambda d, n, enum_cap=None: 7 if n in wrong_at else real(d, n, enum_cap=enum_cap),
+        "count_pd_alt_table",
+        lambda d, max_n, enum_cap=None: [
+            7 if n in wrong_at else v for n, v in enumerate(real(d, max_n, enum_cap=enum_cap))
+        ],
     )
     wrong_at[:] = [3]
     with pytest.raises(ArithmeticError, match=r"P_1\(3\): product gives 3, DFS gives 7"):

@@ -27,15 +27,15 @@ Two encodings are used, one per algorithm:
   layer: choose the first slice J inside the current bound, then count
   the tail bounded by J, memoizing on (bound, remaining weight) with
   bounds clipped to canonical form.  The first slices are streamed, the
-  lower-level slice lists cached; memo and cache live for one call,
-  which `count_pd_table` shares across n = 0..N.
+  lower-level slice lists cached; memo and cache hold one dimension, so
+  `count_pd_table` reuses them for every n and another d empties them.
 
 Brute-force work is refused beyond a configurable cap on n (see
 `DEFAULT_ENUM_CAPS`) by raising `EnumerationCapError` instead of
 starting a search that cannot finish at a desk.  The layered recursion
 carries no such cap; it recurses about once per unit of n and refuses
 n above half the interpreter's recursion limit, and for d = 3 above a
-fixed cap set by its running time (`_LAYERED_CAPS`), before counting.
+fixed cap set by its running time (`_LAYERED_D3_CAP`), before counting.
 """
 
 from __future__ import annotations
@@ -61,9 +61,9 @@ __all__ = [
 # P_3(12) = 13426, P_4(10) = 13220) keep a full walk comfortably fast.
 DEFAULT_ENUM_CAPS: dict[int, int] = {1: 40, 2: 16, 3: 12}
 _HIGHER_DIM_CAP = 10
-# Caps on n for the layered count that no enum_cap lifts: the d = 3 table
-# took 37 s up to n = 23 and 69 s up to 24 (2-vCPU host, Python 3.11).
-_LAYERED_CAPS: dict[int, int] = {3: 23}
+# Cap on n for the d = 3 layered count that no enum_cap lifts: the table
+# took 46 s up to n = 23 and 83 s up to 24 (2-vCPU host, Python 3.11).
+_LAYERED_D3_CAP = 23
 
 
 class EnumerationCapError(RuntimeError):
@@ -152,8 +152,6 @@ def _intersect(d: int, a, b):
     # of a nonempty ideal holds the origin, so none of them is empty
     if d == 1:
         return a if a < b else b
-    if d == 2:
-        return tuple([x if x < y else y for x, y in zip(a, b)])
     return tuple([_intersect(d - 1, x, y) for x, y in zip(a, b)])
 
 
@@ -162,8 +160,6 @@ def _clip(d: int, rep, m: int):
     # never reach past it, so clipping canonicalizes memo keys
     if d == 1:
         return rep if rep < m else m
-    if d == 2:
-        return tuple([x if x < m else m for x in rep[:m]])
     return tuple([_clip(d - 1, sl, m) for sl in rep[:m]])
 
 
@@ -182,59 +178,60 @@ def _full_bound(d: int, n: int):
     return tuple(_full_bound(d - 1, n) for _ in range(n))
 
 
-def _layered_counts(d: int, ns: Iterable[int]) -> list[int]:
-    """P_d(n) for each n in `ns`, sharing one chain memo and slice cache."""
-    chains: dict[tuple, int] = {}  # (bound, m) -> number of chains
-    slices: dict[tuple, list] = {}  # (ceiling, cap) -> lower-level subideals
-    pairs: dict[tuple, tuple] = {}  # one shared copy of each listed (rep, size)
+# The layered count's memo, (bound, m) -> number of chains, its cache of
+# lower-level subideal lists, (ceiling, cap) -> [(rep, size), ...], and
+# one shared copy of each listed pair, for dimension `_memo_dim` only.
+_CHAIN_MEMO: dict[tuple, int] = {}
+_SLICES: dict[tuple, list] = {}
+_PAIRS: dict[tuple, tuple] = {}
+_memo_dim = 0
 
-    def lower(level: int, ceiling, cap: int) -> list:
-        """The cached list of `subideals(level, ceiling, cap)`."""
-        found = slices.get((ceiling, cap))
-        if found is None:  # clipping canonicalizes: many ceilings share a list
-            canon = ceiling if _fits(ceiling, cap) else _clip(level, ceiling, cap)
-            found = slices.get((canon, cap))
-            if found is None:
-                found = [pairs.setdefault(p, p) for p in subideals(level, canon, cap)]
-            slices[ceiling, cap] = slices[canon, cap] = found
-        return found
 
-    def subideals(level: int, bound, cap: int) -> Iterator[tuple[object, int]]:
-        """Yield (rep, size) for every nonempty ideal inside `bound` of size <= cap."""
-        if level == 1:
-            yield from ((s, s) for s in range(1, min(bound, cap) + 1))
-            return
-        # stack[t]: the choices of slice t (inside slice t - 1 and bound[t])
-        prefix = ()
-        stack = [(iter(lower(level - 1, bound[0], cap)), 0)] if bound and cap else []
-        while stack:
-            choices, before = stack[-1]
-            for rep, s in choices:
-                t = len(stack)
-                prefix = prefix[: t - 1] + (rep,)
-                size = before + s
-                yield prefix, size
-                if t < len(bound) and size < cap:
-                    ceiling = _intersect(level - 1, rep, bound[t])
-                    stack.append((iter(lower(level - 1, ceiling, cap - size)), size))
-                    break
-            else:
-                stack.pop()
+def _lower(level: int, ceiling, cap: int) -> list:
+    """The cached list of `_subideals(level, ceiling, cap)`."""
+    if not _fits(ceiling, cap):  # clipping canonicalizes: many ceilings share a list
+        ceiling = _clip(level, ceiling, cap)
+    found = _SLICES.get((ceiling, cap))
+    if found is None:
+        found = [_PAIRS.setdefault(p, p) for p in _subideals(level, ceiling, cap)]
+        _SLICES[ceiling, cap] = found
+    return found
 
-    def chain(bound, m: int) -> int:
-        """Number of weakly decreasing slice tuples inside `bound` of total size m."""
-        if not _fits(bound, m):
-            bound = _clip(d, bound, m)
-        key = (bound, m)
-        total = chains.get(key)
-        if total is None:
-            total = 1 if m == 0 else 0
-            for rep, size in subideals(d, bound, m):  # streamed, not cached
-                total += chain(rep, m - size)
-            chains[key] = total
-        return total
 
-    return [chain(_full_bound(d, n), n) for n in ns]
+def _subideals(level: int, bound, cap: int) -> Iterator[tuple[object, int]]:
+    """Yield (rep, size) for every nonempty ideal inside `bound` of size <= cap."""
+    if level == 1:
+        yield from ((s, s) for s in range(1, min(bound, cap) + 1))
+        return
+    # stack[t]: the choices of slice t (inside slice t - 1 and bound[t])
+    prefix = ()
+    stack = [(iter(_lower(level - 1, bound[0], cap)), 0)] if bound and cap else []
+    while stack:
+        choices, before = stack[-1]
+        for rep, s in choices:
+            t = len(stack)
+            prefix = prefix[: t - 1] + (rep,)
+            size = before + s
+            yield prefix, size
+            if t < len(bound) and size < cap:
+                ceiling = _intersect(level - 1, rep, bound[t])
+                stack.append((iter(_lower(level - 1, ceiling, cap - size)), size))
+                break
+        else:
+            stack.pop()
+
+
+def _chain_count(d: int, bound, m: int) -> int:
+    """Number of weakly decreasing slice tuples inside `bound` of total size m."""
+    if not _fits(bound, m):
+        bound = _clip(d, bound, m)
+    total = _CHAIN_MEMO.get((bound, m))
+    if total is None:
+        total = 1 if m == 0 else 0
+        for rep, size in _subideals(d, bound, m):  # the top level is streamed
+            total += _chain_count(d, rep, m - size)
+        _CHAIN_MEMO[bound, m] = total
+    return total
 
 
 def _refuse_layered(d: int, n: int) -> None:
@@ -243,9 +240,8 @@ def _refuse_layered(d: int, n: int) -> None:
     if n > depth_cap:
         raise EnumerationCapError(d, n, depth_cap, "the recursion limit; "
                                   "partition_count_table serves d <= 2 at any n")
-    time_cap = _LAYERED_CAPS.get(d, n)
-    if n > time_cap:
-        raise EnumerationCapError(d, n, time_cap, "the running time of the layered count")
+    if d == 3 and n > _LAYERED_D3_CAP:
+        raise EnumerationCapError(d, n, _LAYERED_D3_CAP, "the running time of the layered count")
 
 
 def count_pd(d: int, n: int) -> int:
@@ -254,17 +250,22 @@ def count_pd(d: int, n: int) -> int:
     No enumeration cap applies.  The recursion is about n + d frames
     deep, so n above half of `sys.getrecursionlimit()` raises
     `EnumerationCapError` before any counting, and so does n above the
-    fixed d = 3 cap of `_LAYERED_CAPS`; `partition_count_table` serves
-    d <= 2 at any n.
+    fixed d = 3 cap `_LAYERED_D3_CAP`; `partition_count_table` serves
+    d <= 2 at any n.  Counts for the same d share `_CHAIN_MEMO`.
     """
+    global _memo_dim
     _refuse_layered(d, n)
-    return _layered_counts(d, (n,))[0]
+    if d != _memo_dim:
+        for cache in (_CHAIN_MEMO, _SLICES, _PAIRS):
+            cache.clear()
+        _memo_dim = d
+    return _chain_count(d, _full_bound(d, n), n)
 
 
 def count_pd_table(d: int, max_n: int) -> list[int]:
-    """[P_d(0), ..., P_d(max_n)] by one layered count; refuses as `count_pd` does."""
+    """[P_d(0), ..., P_d(max_n)] by `count_pd`, refusing max_n before counting."""
     _refuse_layered(d, max_n)
-    return _layered_counts(d, range(max_n + 1))
+    return [count_pd(d, n) for n in range(max_n + 1)]
 
 
 # --- canonical-order DFS over box sets ------------------------------------

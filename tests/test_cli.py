@@ -146,7 +146,7 @@ def test_pd_dim3_refuses_past_the_layered_cap_at_once(capsys, monkeypatch):
     def no_counting(*args):
         raise AssertionError("counted before refusing")
 
-    monkeypatch.setattr(dd_partitions, "_layered_counts", no_counting)
+    monkeypatch.setattr(dd_partitions, "_chain_count", no_counting)
     for extra in ((), ("--enum-cap", "30")):
         code, out, err = run_cli(capsys, "pd", "--dim", "3", "--max-n", "30", *extra)
         assert code == EXIT_CAP

@@ -4,6 +4,7 @@ import pytest
 
 from kummerchi import dd_partitions
 from kummerchi.dd_partitions import (
+    _CHAIN_MEMO,
     DEFAULT_ENUM_CAPS,
     DdPartition,
     EnumerationCapError,
@@ -135,13 +136,25 @@ def test_table_forms_refuse_and_validate():
         count_pd_alt_table(2, -1)
 
 
+def test_layered_memo_holds_one_dimension():
+    # kept across n in one dimension, emptied by a count in another
+    assert count_pd_table(3, 10) == P3_KNOWN
+    held = len(_CHAIN_MEMO)
+    assert held > 0
+    assert count_pd(3, 9) == P3_KNOWN[9]
+    assert len(_CHAIN_MEMO) == held
+    assert count_pd(2, 3) == 6
+    assert 0 < len(_CHAIN_MEMO) < held
+    assert count_pd(3, 10) == P3_KNOWN[10]
+
+
 def test_layered_count_refuses_past_its_fixed_d3_cap(monkeypatch):
     # pd --dim 3 --max-n 30 used to run for hours; enum_cap does not lift this
     def no_counting(*args):
         raise AssertionError("counted before refusing")
 
-    monkeypatch.setattr(dd_partitions, "_layered_counts", no_counting)
-    cap = dd_partitions._LAYERED_CAPS[3]
+    monkeypatch.setattr(dd_partitions, "_chain_count", no_counting)
+    cap = dd_partitions._LAYERED_D3_CAP
     for call in (lambda: count_pd(3, cap + 1), lambda: count_pd_table(3, 30)):
         with pytest.raises(EnumerationCapError, match="running time") as info:
             call()
@@ -223,14 +236,11 @@ def test_cap_does_not_gate_count_pd():
     assert count_pd(2, 20) == product_expansion(lambda k: k, 20)[20]
 
 
-def test_count_pd_refuses_past_recursion_depth(monkeypatch):
+def test_count_pd_refuses_past_recursion_depth():
     # count_pd(1, 1200) used to die with RecursionError deep in the count
-    def no_counting(*args):
-        raise AssertionError("counted before refusing")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(dd_partitions, "_layered_counts", no_counting)
-        with pytest.raises(EnumerationCapError, match="partition_count_table") as info:
-            count_pd(1, 1200)
+    entries = len(_CHAIN_MEMO)
+    with pytest.raises(EnumerationCapError, match="partition_count_table") as info:
+        count_pd(1, 1200)
     assert (info.value.d, info.value.n) == (1, 1200)
+    assert len(_CHAIN_MEMO) == entries  # refused before counting
     assert count_pd(1, 200) == partition_count_table(1, 200)[200]

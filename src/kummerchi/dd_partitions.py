@@ -34,8 +34,8 @@ Brute-force work is refused beyond a configurable cap on n (see
 `DEFAULT_ENUM_CAPS`) by raising `EnumerationCapError` instead of
 starting a search that cannot finish at a desk.  The layered recursion
 carries no such cap; it recurses about once per unit of n and refuses
-n above half the interpreter's recursion limit, and for d = 3 above a
-fixed cap set by its running time (`_LAYERED_D3_CAP`), before counting.
+n above half the interpreter's recursion limit, and for d >= 2 above a
+fixed cap set by its running time (`_LAYERED_CAPS`), before counting.
 """
 
 from __future__ import annotations
@@ -61,9 +61,15 @@ __all__ = [
 # P_3(12) = 13426, P_4(10) = 13220) keep a full walk comfortably fast.
 DEFAULT_ENUM_CAPS: dict[int, int] = {1: 40, 2: 16, 3: 12}
 _HIGHER_DIM_CAP = 10
-# Cap on n for the d = 3 layered count that no enum_cap lifts: the table
-# took 46 s up to n = 23 and 83 s up to 24 (2-vCPU host, Python 3.11).
-_LAYERED_D3_CAP = 23
+# Caps on n for the layered count that no enum_cap lifts, by d: each is the
+# largest max_n whose count_pd_table took under about a minute of CPU, one
+# more n taking over a minute (2-vCPU host, Python 3.11; d = 2: 57 s at 40,
+# 77 s at 41; d = 3: 46 s at 23, 83 s at 24).  Time grows with d at fixed
+# n, so a d between two keys takes the cap of the next key up and d above
+# the last key is refused at every n >= 1.  d = 1 counts in linear time and
+# only the recursion limit caps it.
+_LAYERED_CAPS: dict[int, int] = {2: 40, 3: 23, 4: 18, 5: 15, 6: 13, 7: 12, 8: 11, 9: 10, 10: 10,
+                                 12: 9, 14: 8, 16: 7, 20: 7, 24: 6, 30: 5}
 
 
 class EnumerationCapError(RuntimeError):
@@ -172,10 +178,13 @@ def _fits(rep, m: int) -> bool:
     return rep == () or rep <= m
 
 
-def _full_bound(d: int, n: int):
+def _staircase(d: int, n: int):
+    # an ideal holding x holds the prod(x_i + 1) cells y <= x, so every ideal
+    # of <= n cells lies in the staircase {x : prod(x_i + 1) <= n}, whose
+    # slice j is the staircase of n // (j + 1) one dimension down
     if d == 1:
         return n
-    return tuple(_full_bound(d - 1, n) for _ in range(n))
+    return tuple(_staircase(d - 1, n // (j + 1)) for j in range(n))
 
 
 # The layered count's memo, (bound, m) -> number of chains, its cache of
@@ -240,18 +249,20 @@ def _refuse_layered(d: int, n: int) -> None:
     if n > depth_cap:
         raise EnumerationCapError(d, n, depth_cap, "the recursion limit; "
                                   "partition_count_table serves d <= 2 at any n")
-    if d == 3 and n > _LAYERED_D3_CAP:
-        raise EnumerationCapError(d, n, _LAYERED_D3_CAP, "the running time of the layered count")
+    if d > 1:
+        cap = next((cap for k, cap in _LAYERED_CAPS.items() if k >= d), 0)
+        if n > cap:
+            raise EnumerationCapError(d, n, cap, "the running time of the layered count")
 
 
 def count_pd(d: int, n: int) -> int:
-    """Exact P_d(n) by the layered recursion; d >= 4 works but slows.
+    """Exact P_d(n) by the layered recursion.
 
     No enumeration cap applies.  The recursion is about n + d frames
     deep, so n above half of `sys.getrecursionlimit()` raises
     `EnumerationCapError` before any counting, and so does n above the
-    fixed d = 3 cap `_LAYERED_D3_CAP`; `partition_count_table` serves
-    d <= 2 at any n.  Counts for the same d share `_CHAIN_MEMO`.
+    fixed cap `_LAYERED_CAPS` sets for d >= 2; `partition_count_table`
+    serves d <= 2 at any n.  Counts for the same d share `_CHAIN_MEMO`.
     """
     global _memo_dim
     _refuse_layered(d, n)
@@ -259,7 +270,7 @@ def count_pd(d: int, n: int) -> int:
         for cache in (_CHAIN_MEMO, _SLICES, _PAIRS):
             cache.clear()
         _memo_dim = d
-    return _chain_count(d, _full_bound(d, n), n)
+    return _chain_count(d, _staircase(d, n), n)
 
 
 def count_pd_table(d: int, max_n: int) -> list[int]:

@@ -1,9 +1,9 @@
 """Euler characteristics of generalized Kummer schemes and the identity harness.
 
 For an Abelian variety A of dimension g, the generalized Kummer scheme
-K^n A sits inside the Hilbert scheme of n + 1 points as the fibre of the
-summation map over 0.  Its Euler characteristic is computed here along
-two independent routes:
+K^n A sits inside the Hilbert scheme of n points as the fibre of the
+summation map over 0; K^1 A is a point, and 1^5 * sigma_2(1) = 1.  Its
+Euler characteristic is computed here along two independent routes:
 
 * closed form, g = 3 only:  chi(K^n) = n^5 * sigma_2(n);
 * stratification by the partition type alpha of the supporting cycle,

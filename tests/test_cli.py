@@ -2,9 +2,11 @@ import csv
 import io
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from kummerchi import cli
 from kummerchi.cli import (
     EXIT_CAP,
     EXIT_IDENTITY_FAILURE,
@@ -147,8 +149,11 @@ def test_pd_dim3_refuses_past_the_layered_cap_at_once(capsys, monkeypatch):
         raise AssertionError("counted before refusing")
 
     monkeypatch.setattr(dd_partitions, "_chain_count", no_counting)
-    for extra in ((), ("--enum-cap", "30")):
-        code, out, err = run_cli(capsys, "pd", "--dim", "3", "--max-n", "30", *extra)
+    monkeypatch.setattr(dd_partitions, "_staircase", no_counting)
+    # --dim 12 --max-n 10 is inside the enumeration cap; it ran out of memory
+    for dim, max_n, extra in (("3", "30", ()), ("3", "30", ("--enum-cap", "30")),
+                              ("12", "10", ())):
+        code, out, err = run_cli(capsys, "pd", "--dim", dim, "--max-n", max_n, *extra)
         assert code == EXIT_CAP
         assert out == ""
         assert "running time of the layered count" in err
@@ -247,3 +252,89 @@ def test_output_is_deterministic(capsys):
     third = run_cli(capsys, "table", "--max-n", "9", "--format", "csv")
     fourth = run_cli(capsys, "table", "--max-n", "9", "--format", "csv")
     assert third == fourth
+
+
+# stdout of each subcommand in each format, committed from a known-good run
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_ARGV = {
+    "table-12": ["table", "--max-n", "12"],
+    "table-g2-8": ["table", "--genus", "2", "--max-n", "8"],
+    "c-table-6": ["c-table", "--max-n", "6"],
+    "pd-d3-13": ["pd", "--dim", "3", "--max-n", "13"],  # n = 13 is past the DFS cap
+    "verify-6": ["verify", "--max-n", "6", "--genus", "1,4"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ARGV))
+def test_output_matches_golden_files(capsys, name):
+    for fmt in ("text", "csv", "json"):
+        code, out, err = run_cli(capsys, *GOLDEN_ARGV[name], "--format", fmt)
+        assert (code, err) == (EXIT_OK, "")
+        assert out == (GOLDEN / f"{name}.{fmt}").read_text(), (name, fmt)
+
+
+def test_failed_identities_render_in_every_format(capsys, monkeypatch):
+    reports = [
+        Report("sigma2-convolution", (Check("sigma2-convolution", 1, True, "1", "1"),)),
+        Report("chi-series(g=2)", (
+            Check("chi-series", 1, True, "1", "1", g=2),
+            Check("chi-series", 2, False, "24", "25", g=2),
+            Check("single-step", 3, False, "-3/2", "3/2", detail="alpha=1^1 2^1"),
+        )),
+    ]
+    monkeypatch.setattr(cli, "run_all_verifiers", lambda max_n, genus, enum_cap=None: reports)
+    failures = [
+        {"identity": "chi-series", "n": 2, "g": 2, "detail": "", "ok": False,
+         "lhs": "24", "rhs": "25"},
+        {"identity": "single-step", "n": 3, "g": None, "detail": "alpha=1^1 2^1", "ok": False,
+         "lhs": "-3/2", "rhs": "3/2"},
+    ]
+    payload = {
+        "command": "verify", "genus": [2], "max_n": 2, "passed": False,
+        "reports": [
+            {"name": "sigma2-convolution", "checks": 1, "failed": 0, "passed": True,
+             "failures": []},
+            {"name": "chi-series(g=2)", "checks": 3, "failed": 2, "passed": False,
+             "failures": failures},
+        ],
+    }
+    expected = {
+        "text": "PASS  sigma2-convolution  (1 checks)\n"
+                "FAIL  chi-series(g=2)  (3 checks)\n"
+                "      n=2 g=2: 24 != 25\n"
+                "      n=3 [alpha=1^1 2^1]: -3/2 != 3/2\n"
+                "FAILURES above (max_n=2, genus=2)\n",
+        "csv": "name,checks,failed,passed\n"
+               "sigma2-convolution,1,0,True\n"
+               "chi-series(g=2),3,2,False\n"
+               "FAILURE,chi-series,2,2,,24,25\n"
+               "FAILURE,single-step,,3,alpha=1^1 2^1,-3/2,3/2\n",
+        "json": json.dumps(payload, sort_keys=True, indent=2) + "\n",
+    }
+    for fmt, text in expected.items():
+        got = run_cli(capsys, "verify", "--max-n", "2", "--genus", "2", "--format", fmt)
+        assert got == (EXIT_IDENTITY_FAILURE, text, ""), fmt
+
+
+def test_c_table_mismatch_renders_in_every_format(capsys, monkeypatch):
+    real_sigma = cli.sigma
+    monkeypatch.setattr(cli, "sigma", lambda k, n: real_sigma(k, n) + 1)
+    rows = [("3^1", 3), ("1^1 2^1", -3), ("1^3", 1)]
+    payload = {
+        "command": "c-table", "n": 3,
+        "rows": [{"partition": label, "c": c} for label, c in rows],
+        "sigma2_check": {"sum": 10, "sigma2": 11, "ok": False},
+    }
+    expected = {
+        "text": "partition  c\n"
+                "      3^1   3\n"
+                "  1^1 2^1  -3\n"
+                "      1^3   1\n"
+                "sum c(alpha) * prod P2(i)^alpha_i = 10; sigma2(3) = 11; MISMATCH\n",
+        "csv": "partition,c\n3^1,3\n1^1 2^1,-3\n1^3,1\n"
+               "# sum c*prod P2 = 10, sigma2(3) = 11, MISMATCH\n",
+        "json": json.dumps(payload, sort_keys=True, indent=2) + "\n",
+    }
+    for fmt, text in expected.items():
+        got = run_cli(capsys, "c-table", "--max-n", "3", "--format", fmt)
+        assert got == (EXIT_IDENTITY_FAILURE, text, ""), fmt

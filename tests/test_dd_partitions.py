@@ -148,18 +148,26 @@ def test_layered_memo_holds_one_dimension():
     assert count_pd(3, 10) == P3_KNOWN[10]
 
 
-def test_layered_count_refuses_past_its_fixed_d3_cap(monkeypatch):
-    # pd --dim 3 --max-n 30 used to run for hours; enum_cap does not lift this
-    def no_counting(*args):
-        raise AssertionError("counted before refusing")
+def test_layered_count_refuses_past_its_fixed_caps(monkeypatch):
+    # count_pd_table(3, 30) ran for hours, (2, 60) for minutes, and (12, 10)
+    # built a cube bound of ~10^9 tuples; enum_cap lifts none of these caps
+    caps = dd_partitions._LAYERED_CAPS
+    top = max(caps)
+    assert count_pd(top + 1, 0) == 1
 
+    def no_counting(*args):
+        raise AssertionError("built a bound or counted before refusing")
+
+    monkeypatch.setattr(dd_partitions, "_staircase", no_counting)
     monkeypatch.setattr(dd_partitions, "_chain_count", no_counting)
-    cap = dd_partitions._LAYERED_D3_CAP
-    for call in (lambda: count_pd(3, cap + 1), lambda: count_pd_table(3, 30)):
-        with pytest.raises(EnumerationCapError, match="running time") as info:
-            call()
-        assert info.value.d == 3 and info.value.cap == cap
-        assert info.value.fixed_by
+    cases = [(d, cap + 1, cap) for d, cap in caps.items()]
+    # a d between two keys takes the cap of the next key up; past the last, none
+    cases += [(3, 30, caps[3]), (2, 60, caps[2]), (11, 10, caps[12]), (top + 1, 1, 0)]
+    for d, n, cap in cases:
+        for call in (count_pd, count_pd_table):
+            with pytest.raises(EnumerationCapError, match="running time") as info:
+                call(d, n)
+            assert (info.value.d, info.value.n, info.value.cap) == (d, n, cap)
 
 
 def test_count_pd_d4_small():

@@ -156,17 +156,13 @@ def cmd_pd(args, out=None) -> int:
     return EXIT_OK
 
 
-def exit_code_for_reports(reports) -> int:
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_IDENTITY_FAILURE
-
-
 def cmd_verify(args, out=None) -> int:
     out = out or sys.stdout
     reports = run_all_verifiers(args.max_n, args.genus, enum_cap=args.enum_cap)
     passed = all(r.passed for r in reports)
     if args.format == "text":
         for r in reports:
-            print(f"{'PASS' if r.passed else 'FAIL'}  {r.name}  ({len(r.checks)} checks)", file=out)
+            print(f"{'PASS' if r.passed else 'FAIL'}  {r.name}  ({r.count} checks)", file=out)
             for c in r.failures():
                 where = f"n={c.n}" + (f" g={c.g}" if c.g is not None else "")
                 extra = f" [{c.detail}]" if c.detail else ""
@@ -174,13 +170,13 @@ def cmd_verify(args, out=None) -> int:
         verdict = "all identities hold" if passed else "FAILURES above"
         print(f"{verdict} (max_n={args.max_n}, genus={','.join(map(str, args.genus))})", file=out)
     elif args.format == "json":
-        records = [{"name": r.name, "checks": len(r.checks), "failed": len(r.failures()),
+        records = [{"name": r.name, "checks": r.count, "failed": len(r.failures()),
                     "passed": r.passed, "failures": [asdict(c) for c in r.failures()]}
                    for r in reports]
         _dump_json({"command": "verify", "max_n": args.max_n, "genus": args.genus,
                     "passed": passed, "reports": records}, out)
     else:
-        summary = [[r.name, len(r.checks), len(r.failures()), r.passed] for r in reports]
+        summary = [[r.name, r.count, len(r.failures()), r.passed] for r in reports]
         failures = [["FAILURE", c.identity, "" if c.g is None else c.g, c.n, c.detail, c.lhs,
                      c.rhs] for r in reports for c in r.failures()]
         _emit("csv", out, {}, ["name", "checks", "failed", "passed"], summary + failures)

@@ -16,8 +16,9 @@ Euler characteristic is computed here along two independent routes:
 Both tie into one generating identity: writing s_n for the logarithmic
 coefficients of sum_n P_{g-1}(n) q^n, chi(K^n) = n^(2g) * s_n.  The
 verify_* functions check all of this coefficient by coefficient with
-exact arithmetic and return structured reports that the CLI and the
-test suite share.  A failed check is data, not an exception; caps on
+exact arithmetic.  Each returns a report, shared by the CLI and the
+tests, that keeps the number of checks run and only the failed ones.
+A failed check is data, not an exception; caps on
 brute-force enumeration do raise (`EnumerationCapError`), so resource
 refusal is never conflated with a failed identity.
 """
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .dd_partitions import (check_enumeration_cap, count_pd_alt_table, count_pd_table,
                             enumeration_cap)
@@ -231,7 +232,7 @@ def kummer_rows(max_n: int, g: int = 3, enum_cap: int | None = None) -> list[Kum
 
 @dataclass(frozen=True)
 class Check:
-    """One exact identity instance, with both sides kept for the record."""
+    """One failed identity instance, with both sides kept for the record."""
 
     identity: str
     n: int
@@ -244,28 +245,48 @@ class Check:
 
 @dataclass(frozen=True)
 class Report:
-    """Everything one verifier checked."""
+    """What one verifier checked: how many instances, and each one that failed."""
 
     name: str
-    checks: tuple[Check, ...]
+    count: int
+    failed: tuple[Check, ...]
 
     @property
     def passed(self) -> bool:
-        return all(c.ok for c in self.checks)
+        return not self.failed
 
     def failures(self) -> list[Check]:
-        return [c for c in self.checks if not c.ok]
+        return list(self.failed)
+
+
+class _Tally:
+    """Counts the checks of one verifier and keeps a `Check` for each failure."""
+
+    def __init__(self, identity: str, g: int | None = None):
+        self.identity, self.g, self.count, self.failed = identity, g, 0, []
+
+    def __call__(self, ok: bool, n: int, record: Callable[[], tuple]) -> None:
+        """Count one check; if it failed, keep it, with `record()` giving (lhs, rhs, detail)."""
+        self.count += 1
+        if not ok:
+            lhs, rhs, detail = record()
+            self.failed.append(Check(self.identity, n, False, str(lhs), str(rhs), self.g, detail))
+
+    def report(self) -> Report:
+        """The report, named by the identity and, if set, the genus."""
+        name = self.identity if self.g is None else f"{self.identity}(g={self.g})"
+        return Report(name, self.count, tuple(self.failed))
 
 
 def verify_sigma2_convolution(max_n: int) -> Report:
     """n * P_2(n) = sum_{k=1..n} sigma_2(k) * P_2(n-k), P_2 from the product expansion."""
     p2 = partition_count_table(2, max_n)
-    checks = []
+    tally = _Tally("sigma2-convolution")
     for n in range(1, max_n + 1):
         lhs = n * p2[n]
         rhs = sum(sigma(2, k) * p2[n - k] for k in range(1, n + 1))
-        checks.append(Check("sigma2-convolution", n, lhs == rhs, str(lhs), str(rhs)))
-    return Report("sigma2-convolution", tuple(checks))
+        tally(lhs == rhs, n, lambda: (lhs, rhs, ""))
+    return tally.report()
 
 
 def verify_single_step(max_n: int) -> Report:
@@ -277,12 +298,13 @@ def verify_single_step(max_n: int) -> Report:
         c(alpha-hat-i) * n * (parts(alpha) - 1) = -alpha_i * (n - i) * c(alpha)
 
     plus the same relation with the g = 3 geometric factors (n-i)^6/n^6
-    left uncancelled, plus the closure: summing over the distinct sizes
-    i recovers c(alpha) = -sum_i c(alpha-hat-i), which is the defining
-    recursion.  Single-part alpha are the recursion's base case and are
-    skipped.  `c_value` uses the closed form: this closure checks the recursion.
+    left uncancelled (compared in integers), plus the closure: summing over
+    the distinct sizes i recovers c(alpha) = -sum_i c(alpha-hat-i), which
+    is the defining recursion.  Single-part alpha are the recursion's base
+    case and are skipped.  `c_value` uses the closed form: this closure
+    checks the recursion.
     """
-    checks = []
+    tally = _Tally("single-step")
     for n in range(1, max_n + 1):
         for alpha in enumerate_partitions(n):
             p = num_parts(alpha)
@@ -297,39 +319,16 @@ def verify_single_step(max_n: int) -> Report:
                 removed_total += chat
                 lhs = chat * n * (p - 1)
                 rhs = -m * (n - i) * ca
-                checks.append(
-                    Check(
-                        "single-step",
-                        n,
-                        lhs == rhs,
-                        str(lhs),
-                        str(rhs),
-                        detail=f"alpha={alpha.label()} i={i}",
-                    )
-                )
-                raw_lhs = Fraction((n - i) ** 5 * chat)
-                raw_rhs = Fraction(-m * (n - i) ** 6, n**6 * (p - 1)) * (n**5 * ca)
-                checks.append(
-                    Check(
-                        "single-step",
-                        n,
-                        raw_lhs == raw_rhs,
-                        str(raw_lhs),
-                        str(raw_rhs),
-                        detail=f"alpha={alpha.label()} i={i} g3-fibres",
-                    )
-                )
-            checks.append(
-                Check(
-                    "single-step",
-                    n,
-                    removed_total == -ca,
-                    str(removed_total),
-                    str(-ca),
-                    detail=f"alpha={alpha.label()} closure",
-                )
-            )
-    return Report("single-step", tuple(checks))
+                tally(lhs == rhs, n, lambda: (lhs, rhs, f"alpha={alpha.label()} i={i}"))
+                # (n-i)^5 chat = -m (n-i)^6 / (n^6 (p-1)) * n^5 ca, times n^6 (p-1) > 0
+                fibres = (n - i) ** 5 * chat * n**6 * (p - 1) == -m * (n - i) ** 6 * n**5 * ca
+                tally(fibres, n, lambda: (
+                    Fraction((n - i) ** 5 * chat),
+                    Fraction(-m * (n - i) ** 6, n**6 * (p - 1)) * (n**5 * ca),
+                    f"alpha={alpha.label()} i={i} g3-fibres"))
+            tally(removed_total == -ca, n,
+                  lambda: (removed_total, -ca, f"alpha={alpha.label()} closure"))
+    return tally.report()
 
 
 def verify_chi_series(
@@ -344,38 +343,17 @@ def verify_chi_series(
     if table is None:
         table = partition_count_table(g - 1, max_n, enum_cap=enum_cap)
     s = log_coefficients(table)
-    checks = []
+    tally = _Tally("chi-series", g)
     for n in range(1, max_n + 1):
         val = n ** (2 * g) * s[n - 1]
         strat = chi_kummer_stratified(n, g, table=table, enum_cap=enum_cap)
-        checks.append(
-            Check("chi-series", n, val == strat, str(val), str(strat), g=g, detail="stratified")
-        )
-        checks.append(
-            Check(
-                "chi-series",
-                n,
-                val.denominator == 1 and val > 0,
-                str(val),
-                "a positive integer",
-                g=g,
-                detail="integrality",
-            )
-        )
+        tally(val == strat, n, lambda: (val, strat, "stratified"))
+        tally(val.denominator == 1 and val > 0, n,
+              lambda: (val, "a positive integer", "integrality"))
         if g == 3:
             closed = chi_kummer_closed(n)
-            checks.append(
-                Check(
-                    "chi-series",
-                    n,
-                    val == closed,
-                    str(val),
-                    str(closed),
-                    g=g,
-                    detail="closed-form",
-                )
-            )
-    return Report(f"chi-series(g={g})", tuple(checks))
+            tally(val == closed, n, lambda: (val, closed, "closed-form"))
+    return tally.report()
 
 
 def verify_first_order(
@@ -398,20 +376,11 @@ def verify_first_order(
         for n in range(1, max_n + 1)
     ]
     lhs = FirstOrderSeries(TruncatedSeries.one(max_n), TruncatedSeries(eps_coeffs))
-    checks = []
+    tally = _Tally("first-order", g)
     for n in range(max_n + 1):
-        ok = lhs.real[n] == rhs.real[n] and lhs.eps[n] == rhs.eps[n]
-        checks.append(
-            Check(
-                "first-order",
-                n,
-                ok,
-                f"{lhs.real[n]} + eps*{lhs.eps[n]}",
-                f"{rhs.real[n]} + eps*{rhs.eps[n]}",
-                g=g,
-            )
-        )
-    return Report(f"first-order(g={g})", tuple(checks))
+        left, right = (lhs.real[n], lhs.eps[n]), (rhs.real[n], rhs.eps[n])
+        tally(left == right, n, lambda: ("%s + eps*%s" % left, "%s + eps*%s" % right, ""))
+    return tally.report()
 
 
 def run_all_verifiers(

@@ -73,7 +73,7 @@ def test_criterion_03_single_step_exhaustive():
     report = verify_single_step(20)
     _criterion(
         3,
-        f"single-step relation exhaustively for n <= 20 ({len(report.checks)} checks)",
+        f"single-step relation exhaustively for n <= 20 ({report.count} checks)",
         report.passed,
         "; ".join(f"{c.detail}: {c.lhs} != {c.rhs}" for c in report.failures()[:3]),
     )

@@ -1,7 +1,9 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from kummerchi import kummer
 from kummerchi.dd_partitions import EnumerationCapError, count_pd
 from kummerchi.kummer import (
     Check,
@@ -21,6 +23,7 @@ from kummerchi.kummer import (
     verify_sigma2_convolution,
     verify_single_step,
 )
+from kummerchi.partitions import enumerate_partitions
 from kummerchi.series import log_coefficients, product_expansion
 
 
@@ -146,39 +149,69 @@ def test_kummer_rows_other_genus():
 
 
 def test_report_structure():
-    good = Check("demo", 1, True, "1", "1")
     bad = Check("demo", 2, False, "1", "2", g=3, detail="why")
-    report = Report("demo", (good, bad))
+    report = Report("demo", 2, (bad,))
     assert not report.passed
     assert report.failures() == [bad]
-    assert Report("empty", ()).passed
+    assert Report("empty", 0, ()).passed
 
 
-def test_verify_sigma2_convolution():
+def test_verify_sigma2_convolution(monkeypatch):
     report = verify_sigma2_convolution(12)
     assert report.passed
-    assert len(report.checks) == 12
-    first = report.checks[0]
-    assert (first.n, first.lhs, first.rhs) == (1, "1", "1")
+    assert report.count == 12
+    # sigma_2(1) one too large spoils every right-hand side
+    real_sigma = kummer.sigma
+    monkeypatch.setattr(kummer, "sigma", lambda k, n: real_sigma(k, n) + (n == 1))
+    failures = verify_sigma2_convolution(12).failures()
+    assert [c.n for c in failures] == list(range(1, 13))
+    first = failures[0]
+    assert (first.n, first.lhs, first.rhs) == (1, "1", "2")
 
 
-def test_verify_single_step():
+def test_verify_single_step(monkeypatch):
     report = verify_single_step(10)
     assert report.passed
+    # two checks per distinct part size and a closure for each alpha of two or more parts
+    assert report.count == sum(
+        2 * sum(1 for m in a.mult if m) + 1
+        for n in range(1, 11) for a in enumerate_partitions(n) if sum(a.mult) > 1
+    )
+    # c(alpha) + 1 for every alpha breaks every check, so each one is kept as a failure
+    real_c = kummer.c_value
+    monkeypatch.setattr(kummer, "c_value", lambda alpha: real_c(alpha) + 1)
+    failures = verify_single_step(10).failures()
+    assert len(failures) == report.count
     # base cases are skipped: no checks mention a single-part alpha
-    assert not any(c.detail.startswith("alpha=5^1 ") for c in report.checks)
+    assert not any(c.detail.startswith("alpha=5^1 ") for c in failures)
     # every composite alpha appears with its closure line
-    assert any(c.detail == "alpha=1^2 closure" for c in report.checks)
-    assert any("g3-fibres" in c.detail for c in report.checks)
+    assert any(c.detail == "alpha=1^2 closure" for c in failures)
+    assert any("g3-fibres" in c.detail for c in failures)
 
 
-def test_verify_chi_series_all_supported_genera():
+def test_verify_chi_series_all_supported_genera(monkeypatch):
     for g in (1, 2, 3):
         assert verify_chi_series(g, 12).passed
     assert verify_chi_series(4, 8).passed
-    report = verify_chi_series(3, 6)
-    assert any(c.detail == "closed-form" for c in report.checks)
-    assert all(c.g == 3 for c in report.checks)
+    assert verify_chi_series(3, 6).count == 18
+    # negated s_n fail all three checks at every n
+    monkeypatch.setattr(kummer, "log_coefficients", lambda t: [-x for x in log_coefficients(t)])
+    failures = verify_chi_series(3, 6).failures()
+    assert len(failures) == 18
+    assert any(c.detail == "closed-form" for c in failures)
+    assert all(c.g == 3 for c in failures)
+
+
+def test_verifiers_keep_no_passing_check():
+    # 73,410 single-step checks at n <= 25; a record of each took 24 MB
+    tracemalloc.start()
+    try:
+        reports = run_all_verifiers(25, [1])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [r.failures() for r in reports] == [[]] * 4
+    assert peak < 2 * 2**20
 
 
 def test_verify_chi_series_cap_propagates():

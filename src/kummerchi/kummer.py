@@ -3,7 +3,7 @@
 For an Abelian variety A of dimension g, the generalized Kummer scheme
 K^n A sits inside the Hilbert scheme of n points as the fibre of the
 summation map over 0; K^1 A is a point, and 1^5 * sigma_2(1) = 1.  Its
-Euler characteristic is computed here along two independent routes:
+Euler characteristic is computed here along three independent routes:
 
 * closed form, g = 3 only:  chi(K^n) = n^5 * sigma_2(n);
 * stratification by the partition type alpha of the supporting cycle,
@@ -11,14 +11,14 @@ Euler characteristic is computed here along two independent routes:
   c(alpha) * prod_i P_{g-1}(i)^(alpha_i),
   with c the signed weights from `partitions` and P_{g-1} the counts of
   (g-1)-dimensional partitions (the punctual Hilbert scheme counts of
-  A^g at a point).
+  A^g at a point);
+* the logarithm, any g:  chi(K^n) = n^(2g) * s_n, with s_n the
+  logarithmic coefficients of sum_n P_{g-1}(n) q^n.
 
-Both tie into one generating identity: writing s_n for the logarithmic
-coefficients of sum_n P_{g-1}(n) q^n, chi(K^n) = n^(2g) * s_n.  The
-verify_* functions check all of this coefficient by coefficient with
-exact arithmetic.  Each returns a report, shared by the CLI and the
-tests, that keeps the number of checks run and only the failed ones.
-A failed check is data, not an exception; caps on
+The verify_* functions check that the routes agree, coefficient by
+coefficient with exact arithmetic.  Each returns a report, shared by
+the CLI and the tests, that keeps the number of checks run and only
+the failed ones.  A failed check is data, not an exception; caps on
 brute-force enumeration do raise (`EnumerationCapError`), so resource
 refusal is never conflated with a failed identity.
 """
@@ -331,56 +331,50 @@ def verify_single_step(max_n: int) -> Report:
     return tally.report()
 
 
-def verify_chi_series(
-    g: int, max_n: int, enum_cap: int | None = None, table: Sequence[int] | None = None
-) -> Report:
+def _genus_reports(g: int, max_n: int, enum_cap: int | None = None) -> tuple[Report, Report]:
+    """chi-series(g) and first-order(g): the log solve and the stratified sum, each run once."""
+    table = partition_count_table(g - 1, max_n, enum_cap=enum_cap)
+    s = log_coefficients(table)
+    strat = [chi_kummer_stratified(n, g, table=table, enum_cap=enum_cap)
+             for n in range(1, max_n + 1)]
+    series = _Tally("chi-series", g)
+    for n, s_n, chi in zip(range(1, max_n + 1), s, strat):
+        val = n ** (2 * g) * s_n
+        series(val == chi, n, lambda: (val, chi, "stratified"))
+        series(val.denominator == 1 and val > 0, n,
+               lambda: (val, "a positive integer", "integrality"))
+        if g == 3:
+            closed = chi_kummer_closed(n)
+            series(val == closed, n, lambda: (val, closed, "closed-form"))
+    rhs = FirstOrderSeries(TruncatedSeries.zero(max_n), TruncatedSeries([0, *s])).exp()
+    eps_coeffs = [0] + [Fraction(chi, n ** (2 * g)) for n, chi in enumerate(strat, start=1)]
+    lhs = FirstOrderSeries(TruncatedSeries.one(max_n), TruncatedSeries(eps_coeffs))
+    first = _Tally("first-order", g)
+    for n in range(max_n + 1):
+        left, right = (lhs.real[n], lhs.eps[n]), (rhs.real[n], rhs.eps[n])
+        first(left == right, n, lambda: ("%s + eps*%s" % left, "%s + eps*%s" % right, ""))
+    return series.report(), first.report()
+
+
+def verify_chi_series(g: int, max_n: int, enum_cap: int | None = None) -> Report:
     """n^(2g) * s_n = stratified chi(K^n), a positive integer, for n <= max_n.
 
     s_n are the logarithmic coefficients of the P_{g-1} series.  At
-    g = 3 the closed formula n^5 * sigma_2(n) is checked as well.
-    `table` may carry a precomputed `partition_count_table(g - 1, max_n)`.
+    g = 3 the closed formula n^5 * sigma_2(n) is checked as well.  One
+    table, logarithm and stratified chi serve this and `verify_first_order`.
     """
-    if table is None:
-        table = partition_count_table(g - 1, max_n, enum_cap=enum_cap)
-    s = log_coefficients(table)
-    tally = _Tally("chi-series", g)
-    for n in range(1, max_n + 1):
-        val = n ** (2 * g) * s[n - 1]
-        strat = chi_kummer_stratified(n, g, table=table, enum_cap=enum_cap)
-        tally(val == strat, n, lambda: (val, strat, "stratified"))
-        tally(val.denominator == 1 and val > 0, n,
-              lambda: (val, "a positive integer", "integrality"))
-        if g == 3:
-            closed = chi_kummer_closed(n)
-            tally(val == closed, n, lambda: (val, closed, "closed-form"))
-    return tally.report()
+    return _genus_reports(g, max_n, enum_cap)[0]
 
 
-def verify_first_order(
-    g: int, max_n: int, enum_cap: int | None = None, table: Sequence[int] | None = None
-) -> Report:
+def verify_first_order(g: int, max_n: int, enum_cap: int | None = None) -> Report:
     """First-order expansion check, coefficient by coefficient in Q[eps]/(eps^2):
 
         1 + eps * sum_{n>=1} chi(K^n)/n^(2g) q^n
             = exp(eps * log sum_{n>=0} P_{g-1}(n) q^n).
 
-    `table` may carry a precomputed `partition_count_table(g - 1, max_n)`.
+    From the same table, logarithm and stratified chi as `verify_chi_series`.
     """
-    if table is None:
-        table = partition_count_table(g - 1, max_n, enum_cap=enum_cap)
-    rhs = FirstOrderSeries(
-        TruncatedSeries.zero(max_n), TruncatedSeries(table).log()
-    ).exp()
-    eps_coeffs = [Fraction(0)] + [
-        Fraction(chi_kummer_stratified(n, g, table=table, enum_cap=enum_cap), n ** (2 * g))
-        for n in range(1, max_n + 1)
-    ]
-    lhs = FirstOrderSeries(TruncatedSeries.one(max_n), TruncatedSeries(eps_coeffs))
-    tally = _Tally("first-order", g)
-    for n in range(max_n + 1):
-        left, right = (lhs.real[n], lhs.eps[n]), (rhs.real[n], rhs.eps[n])
-        tally(left == right, n, lambda: ("%s + eps*%s" % left, "%s + eps*%s" % right, ""))
-    return tally.report()
+    return _genus_reports(g, max_n, enum_cap)[1]
 
 
 def run_all_verifiers(
@@ -391,7 +385,5 @@ def run_all_verifiers(
     check_enumeration_cap(1, max_n, enum_cap)
     reports = [verify_sigma2_convolution(max_n), verify_single_step(max_n)]
     for g in genus:
-        table = partition_count_table(g - 1, max_n, enum_cap=enum_cap)
-        reports.append(verify_chi_series(g, max_n, enum_cap=enum_cap, table=table))
-        reports.append(verify_first_order(g, max_n, enum_cap=enum_cap, table=table))
+        reports.extend(_genus_reports(g, max_n, enum_cap))
     return reports

@@ -188,10 +188,6 @@ class FirstOrderSeries:
         self.real = real
         self.eps = eps
 
-    @property
-    def order(self) -> int:
-        return self.real.order
-
     def exp(self) -> "FirstOrderSeries":
         """exp(a + eps*b) = exp(a) * (1 + eps*b); the eps^0 part must start at 0."""
         ea = self.real.exp()
@@ -203,9 +199,6 @@ class FirstOrderSeries:
             and self.real == other.real
             and self.eps == other.eps
         )
-
-    def __hash__(self) -> int:
-        return hash((self.real, self.eps))
 
     def __repr__(self) -> str:
         return f"FirstOrderSeries(real={self.real!r}, eps={self.eps!r})"

@@ -238,6 +238,9 @@ def test_run_all_verifiers():
         "first-order(g=3)",
     ]
     assert all(r.passed for r in reports)
+    # each genus pair equals the two verifiers called alone
+    assert reports[2:] == [
+        r for g in (1, 3) for r in (verify_chi_series(g, 6), verify_first_order(g, 6))]
 
 
 def test_run_all_verifiers_builds_each_table_once(monkeypatch):
@@ -256,10 +259,24 @@ def test_run_all_verifiers_builds_each_table_once(monkeypatch):
     assert built == [2, 1, 3]
 
 
-def test_verifiers_accept_a_precomputed_table():
-    table = partition_count_table(3, 8)
-    assert verify_chi_series(4, 8, table=table) == verify_chi_series(4, 8)
-    assert verify_first_order(4, 8, table=table) == verify_first_order(4, 8)
+def test_run_all_verifiers_solves_each_genus_once(monkeypatch):
+    strat_calls, log_calls = [], []
+
+    def counting_strat(n, g, table=None, enum_cap=None):
+        strat_calls.append((g, n))
+        return chi_kummer_stratified(n, g, table=table, enum_cap=enum_cap)
+
+    def counting_log(counts):
+        log_calls.append(len(counts) - 1)
+        return log_coefficients(counts)
+
+    monkeypatch.setattr(kummer, "chi_kummer_stratified", counting_strat)
+    monkeypatch.setattr(kummer, "log_coefficients", counting_log)
+    reports = run_all_verifiers(8, [1, 2, 3])
+    assert all(r.passed for r in reports)
+    # one stratified chi per (g, n) and one logarithm per g serve both genus reports
+    assert strat_calls == [(g, n) for g in (1, 2, 3) for n in range(1, 9)]
+    assert log_calls == [8, 8, 8]
 
 
 def test_partition_count_rows_flags_and_routes():

@@ -248,7 +248,7 @@ def _refuse_layered(d: int, n: int) -> None:
     depth_cap = sys.getrecursionlimit() // 2
     if n > depth_cap:
         raise EnumerationCapError(d, n, depth_cap, "the recursion limit; "
-                                  "partition_count_table serves d <= 2 at any n")
+                                  "partition_count_table serves d <= 2 at larger n")
     if d > 1:
         cap = next((cap for k, cap in _LAYERED_CAPS.items() if k >= d), 0)
         if n > cap:
@@ -262,7 +262,8 @@ def count_pd(d: int, n: int) -> int:
     deep, so n above half of `sys.getrecursionlimit()` raises
     `EnumerationCapError` before any counting, and so does n above the
     fixed cap `_LAYERED_CAPS` sets for d >= 2; `partition_count_table`
-    serves d <= 2 at any n.  Counts for the same d share `_CHAIN_MEMO`.
+    serves d <= 2 at larger n, up to the cap of its product expansions.
+    Counts for the same d share `_CHAIN_MEMO`.
     """
     global _memo_dim
     _refuse_layered(d, n)

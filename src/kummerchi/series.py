@@ -6,22 +6,18 @@ A `TruncatedSeries` of order N holds the coefficients of q^0 .. q^N of a
 series with true rationals as `fractions.Fraction`s, never floats.
 Binary operations insist that both operands carry the same order;
 series of different orders are never silently combined.
-
-`FirstOrderSeries` adjoins a square-zero element eps: coefficients live
-in Q[eps]/(eps^2), stored as a pair of ordinary series (the eps^0 and
-eps^1 parts).  Its `exp` uses exp(a + eps*b) = exp(a) * (1 + eps*b).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Callable, Iterable, Mapping, Sequence
+from operator import index
+from typing import Callable, Iterable, Sequence
 
 __all__ = [
     "OrderMismatchError",
     "TruncatedSeries",
-    "FirstOrderSeries",
     "product_expansion",
     "log_coefficients",
 ]
@@ -127,22 +123,19 @@ def _geometric_power_coeffs(e: int, j_max: int) -> list[int]:
     return [(-1) ** j * comb(m, j) if j <= m else 0 for j in range(j_max + 1)]
 
 
-def product_expansion(
-    exponent: Mapping[int, int] | Callable[[int], int], order: int
-) -> TruncatedSeries:
-    """The truncation of prod_{k>=1} (1 - q^k)^(-e_k).
+def product_expansion(exponent: Callable[[int], int], order: int) -> list[int]:
+    """The coefficients of q^0 .. q^order of prod_{k>=1} (1 - q^k)^(-e_k).
 
-    `exponent` gives e_k for 1 <= k <= order, as a mapping or a callable;
-    factors with k > order cannot touch the truncation and are skipped.
-    e_k = 1 for all k yields the ordinary-partition series, e_k = k the
-    plane-partition (MacMahon) series.
+    `exponent(k)` gives the integer e_k for 1 <= k <= order; a value that
+    is not an integer raises `TypeError`.  Factors with k > order cannot
+    touch the truncation and are skipped.  e_k = 1 for all k yields the
+    ordinary-partition series, e_k = k the plane-partition (MacMahon) series.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    exp_of = exponent if callable(exponent) else exponent.__getitem__
     coeffs = [1] + [0] * order
     for k in range(1, order + 1):
-        e = int(exp_of(k))
+        e = index(exponent(k))
         if e == 0:
             continue
         factor = _geometric_power_coeffs(e, order // k)
@@ -155,7 +148,7 @@ def product_expansion(
                     acc += c * coeffs[i - j * k]
             new[i] = acc
         coeffs = new
-    return TruncatedSeries(coeffs)
+    return coeffs
 
 
 def log_coefficients(counts: Sequence) -> list[Fraction]:
@@ -177,28 +170,3 @@ def log_coefficients(counts: Sequence) -> list[Fraction]:
         b[n] = acc
     return [Fraction(b[n], n) for n in range(1, len(p))]
 
-
-class FirstOrderSeries:
-    """A truncated series over Q[eps]/(eps^2), kept as its eps^0 and eps^1 parts."""
-
-    __slots__ = ("real", "eps")
-
-    def __init__(self, real: TruncatedSeries, eps: TruncatedSeries):
-        real._same_order(eps)
-        self.real = real
-        self.eps = eps
-
-    def exp(self) -> "FirstOrderSeries":
-        """exp(a + eps*b) = exp(a) * (1 + eps*b); the eps^0 part must start at 0."""
-        ea = self.real.exp()
-        return FirstOrderSeries(ea, ea * self.eps)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FirstOrderSeries)
-            and self.real == other.real
-            and self.eps == other.eps
-        )
-
-    def __repr__(self) -> str:
-        return f"FirstOrderSeries(real={self.real!r}, eps={self.eps!r})"

@@ -301,7 +301,7 @@ def test_p_d_refusals_come_before_any_counting(monkeypatch):
         partition_count_rows(4, 11)
     with pytest.raises(EnumerationCapError):
         partition_count_table(3, 13)
-    # the products serve table at any size without a DFS check
+    # the products serve table past every enumeration cap without a DFS check
     assert partition_count_table(2, 40)[40] == product_expansion(lambda k: k, 40)[40]
 
 

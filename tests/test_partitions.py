@@ -129,7 +129,7 @@ def test_enumerate_count_agrees_with_dd_module():
 def test_partition_series_matches_oracle_at_table_order():
     # the product kernel at CLI size: `table` expands series up to order 199
     euler = product_expansion(lambda k: 1, 200)
-    assert list(euler.coeffs) == [partition_count_oracle(n) for n in range(201)]
+    assert euler == [partition_count_oracle(n) for n in range(201)]
 
 
 def test_enumerate_is_deterministic():

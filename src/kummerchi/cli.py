@@ -12,6 +12,10 @@ was hit before any exponential work started, and stdout is empty.
 --enum-cap lifts only the enumeration caps; the message of a fixed cap
 names what sets it instead.  Rationals are printed exactly, as "p/q"
 (or "p" when integral); output for fixed inputs is byte-stable.
+
+CSV and JSON rows are written as they are made: `c-table` walks the
+partitions one at a time and holds none of its rows, so its memory stays
+flat in n.  Text holds the cell strings, which the column widths need.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .kummer import (
     run_all_verifiers,
     sigma,
 )
-from .partitions import c_value, enumerate_partitions, weighted_product
+from .partitions import c_value, iter_partitions, weighted_product
 
 EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1
@@ -71,8 +75,17 @@ def _genus_list(text: str) -> list[int]:
     return values
 
 
+_JSON = json.JSONEncoder(sort_keys=True, indent=2)
+_SCALAR = json.JSONEncoder().encode  # the compact encoder, in C
+
+
 def _dump_json(payload: dict, out) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2), file=out)
+    print(_JSON.encode(payload), file=out)
+
+
+def _json_field(key: str, value) -> str:
+    """`"key": value` as `_dump_json` writes a top-level field, without its indent."""
+    return f"{_JSON.encode(key)}: " + _JSON.encode(value).replace("\n", "\n  ")
 
 
 def _yes_no(value) -> str:
@@ -80,29 +93,49 @@ def _yes_no(value) -> str:
 
 
 def _emit(fmt, out, meta, header, rows, text_header=None, cell=str, footer=None) -> None:
-    """Write `rows`, all built beforehand, in format `fmt`.
+    """Write `rows`, any iterable, in format `fmt`; CSV and JSON write each row as it comes.
 
-    JSON is `meta` plus the rows as records keyed by `header`; CSV is
-    `header` and the rows as given.  Text is an aligned table under
-    `text_header` (default `header`), each value rendered by `cell`.
-    `footer[fmt]`, if present, is one more line after a CSV or text table.
+    JSON is `meta` plus the rows as records keyed by `header`, byte for
+    byte what `_dump_json` writes for the whole payload, given at least
+    one row, as every command has.  CSV is `header` and the rows as given.
+    Text is an aligned table under `text_header` (default `header`), each
+    value rendered by `cell`; it keeps the cell strings, which the column
+    widths need, and writes them line by line.  The keys of `meta` sort
+    before "rows".  `footer`, if given, is called once after the last row
+    and returns a dict: its "json" entry holds more top-level keys, which
+    sort after "rows", and its "csv" or "text" entry is one more line
+    after the table.
     """
     if fmt == "json":
-        _dump_json({**meta, "rows": [dict(zip(header, row)) for row in rows]}, out)
-        return
-    if fmt == "csv":
+        out.write("{\n" + "".join(f"  {_json_field(k, v)},\n" for k, v in sorted(meta.items())))
+        # a row holds scalars, so its record is laid out here as `_JSON` would
+        # lay it out, two levels deep, and only the values go through the encoder
+        order = sorted(range(len(header)), key=header.__getitem__)
+        names = [f"\n      {_JSON.encode(header[i])}: " for i in order]
+        out.write('  "rows": [')
+        sep = "\n    {"
+        for row in rows:
+            out.write(sep + ",".join([name + _SCALAR(row[i]) for name, i in zip(names, order)])
+                      + "\n    }")
+            sep = ",\n    {"
+        out.write("\n  ]")
+    elif fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows if cell is str else ([cell(v) for v in row] for row in rows))
     else:
         head = text_header or header
-        cells = [[cell(v) for v in row] for row in rows]
+        cells = [tuple(map(cell, row)) for row in rows]
         widths = [max(map(len, column)) for column in zip(head, *cells)]
-        lines = ["  ".join(h.ljust(w) for h, w in zip(head, widths)).rstrip()]
-        lines += ["  ".join(c.rjust(w) for c, w in zip(row, widths)).rstrip() for row in cells]
-        print(*lines, sep="\n", file=out)
-    if footer and fmt in footer:
-        print(footer[fmt], file=out)
+        print("  ".join(h.ljust(w) for h, w in zip(head, widths)).rstrip(), file=out)
+        for row in cells:
+            print("  ".join(c.rjust(w) for c, w in zip(row, widths)).rstrip(), file=out)
+    tail = footer() if footer else {}
+    if fmt == "json":
+        late = sorted(tail.get("json", {}).items())
+        out.write("".join(f",\n  {_json_field(k, v)}" for k, v in late) + "\n}\n")
+    elif fmt in tail:
+        print(tail[fmt], file=out)
 
 
 def cmd_table(args, out=None) -> int:
@@ -111,7 +144,7 @@ def cmd_table(args, out=None) -> int:
         args.format, out or sys.stdout,
         {"command": "table", "genus": args.genus, "max_n": args.max_n},
         ["n", "sigma2", "chi", "dt", "s"],
-        [[r.n, r.sigma2, r.chi, str(r.dt), str(r.s)] for r in rows],
+        ([r.n, r.sigma2, r.chi, str(r.dt), str(r.s)] for r in rows),
     )
     return EXIT_OK
 
@@ -120,27 +153,29 @@ def cmd_c_table(args, out=None) -> int:
     n = args.max_n
     check_enumeration_cap(1, n, args.enum_cap)
     table = partition_count_table(2, n)
-    rows, total = [], 0
-    for alpha in enumerate_partitions(n):
-        c = c_value(alpha)
-        total += c * weighted_product(alpha, table)
-        rows.append((alpha.label(), c))
     expected = sigma(2, n)
-    ok = total == expected
-    verdict = "ok" if ok else "MISMATCH"
-    _emit(
-        args.format, out or sys.stdout,
-        {"command": "c-table", "n": n,
-         "sigma2_check": {"sum": total, "sigma2": expected, "ok": ok}},
-        ["partition", "c"],
-        rows,
-        footer={
+    total = 0
+
+    def rows():
+        nonlocal total
+        for alpha in iter_partitions(n):
+            c = c_value(alpha)
+            total += c * weighted_product(alpha, table)
+            yield alpha.label(), c
+
+    def footer():
+        ok = total == expected
+        verdict = "ok" if ok else "MISMATCH"
+        return {
+            "json": {"sigma2_check": {"sum": total, "sigma2": expected, "ok": ok}},
             "csv": f"# sum c*prod P2 = {total}, sigma2({n}) = {expected}, {verdict}",
             "text": f"sum c(alpha) * prod P2(i)^alpha_i = {total}; "
                     f"sigma2({n}) = {expected}; {verdict}",
-        },
-    )
-    return EXIT_OK if ok else EXIT_IDENTITY_FAILURE
+        }
+
+    _emit(args.format, out or sys.stdout, {"command": "c-table", "n": n}, ["partition", "c"],
+          rows(), footer=footer)
+    return EXIT_OK if total == expected else EXIT_IDENTITY_FAILURE
 
 
 def cmd_pd(args, out=None) -> int:

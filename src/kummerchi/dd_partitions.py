@@ -73,11 +73,16 @@ _LAYERED_CAPS: dict[int, int] = {2: 40, 3: 23, 4: 18, 5: 15, 6: 13, 7: 12, 8: 11
 
 
 class EnumerationCapError(RuntimeError):
-    """Raised instead of starting an enumeration that exceeds the cap."""
+    """Raised instead of starting an enumeration, or a count, that exceeds the cap.
+
+    `fixed_by` names what sets a fixed cap, one that no enum_cap lifts; such
+    a cap guards a count that enumerates nothing, so its message says "counting".
+    """
 
     def __init__(self, d: int, n: int, cap: int, fixed_by: str | None = None):
         super().__init__(
-            f"enumerating {d}-dimensional partitions of {n} exceeds the cap of {cap}"
+            f"{'counting' if fixed_by else 'enumerating'} {d}-dimensional partitions of {n} "
+            f"exceeds the cap of {cap}"
             + (f" set by {fixed_by}" if fixed_by else "")
         )
         self.d = d
@@ -245,14 +250,14 @@ def _chain_count(d: int, bound, m: int) -> int:
 
 def _refuse_layered(d: int, n: int) -> None:
     _validate_dn(d, n)
+    if d > 1:  # below the depth cap at the default recursion limit, so named first
+        cap = next((cap for k, cap in _LAYERED_CAPS.items() if k >= d), 0)
+        if n > cap:
+            raise EnumerationCapError(d, n, cap, "the running time of the layered count")
     depth_cap = sys.getrecursionlimit() // 2
     if n > depth_cap:
         raise EnumerationCapError(d, n, depth_cap, "the recursion limit; "
                                   "partition_count_table serves d <= 2 at larger n")
-    if d > 1:
-        cap = next((cap for k, cap in _LAYERED_CAPS.items() if k >= d), 0)
-        if n > cap:
-            raise EnumerationCapError(d, n, cap, "the running time of the layered count")
 
 
 def count_pd(d: int, n: int) -> int:

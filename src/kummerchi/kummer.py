@@ -34,7 +34,7 @@ from .dd_partitions import (EnumerationCapError, check_enumeration_cap, count_pd
                             count_pd_table, enumeration_cap)
 from .partitions import (
     c_value,
-    enumerate_partitions,
+    iter_partitions,
     num_parts,
     remove_part,
     weighted_product,
@@ -164,7 +164,8 @@ def ns_from_c(
 
     Equals sigma_2(n) at g = 3, sigma_1(n) at g = 2 and 1 at g = 1.
     `table` may carry a precomputed `partition_count_table(g - 1, >= n)`.
-    The partitions of n are enumerated, so n is subject to the d = 1 cap.
+    The partitions of n are walked one at a time, so n is subject to the
+    d = 1 cap but no list of p(n) partitions is held.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -173,7 +174,7 @@ def ns_from_c(
     check_enumeration_cap(1, n, enum_cap)
     if table is None:
         table = partition_count_table(g - 1, n, enum_cap=enum_cap)
-    return sum(c_value(a) * weighted_product(a, table) for a in enumerate_partitions(n))
+    return sum(c_value(a) * weighted_product(a, table) for a in iter_partitions(n))
 
 
 def chi_kummer_stratified(
@@ -316,7 +317,7 @@ def verify_single_step(max_n: int) -> Report:
     """
     tally = _Tally("single-step")
     for n in range(1, max_n + 1):
-        for alpha in enumerate_partitions(n):
+        for alpha in iter_partitions(n):
             p = num_parts(alpha)
             if p < 2:
                 continue

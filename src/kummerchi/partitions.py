@@ -10,17 +10,22 @@ c(alpha) = n (-1)^(l-1) (l-1)! / prod_i alpha_i!, the coefficient of
 prod_i P_i^(alpha_i) in n [q^n] log(1 + sum_{i>=1} P_i q^i).  It solves
 the signed recursion c((n)) = n, c(alpha) = -sum_i c(alpha with one part
 of size i removed), with i over the *distinct* part sizes of alpha.
+
+`iter_partitions` walks the partitions of n one at a time, so a sum over
+them holds one partition, not p(n); `enumerate_partitions` is its list.
 Nothing in this module keeps state between calls.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from math import factorial, prod
 from operator import index, mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "Partition",
+    "iter_partitions",
     "enumerate_partitions",
     "remove_part",
     "num_parts",
@@ -82,17 +87,29 @@ class Partition:
         return f"Partition({self.mult!r})"
 
 
-def enumerate_partitions(n: int) -> list[Partition]:
+def _trusted(mult: tuple[int, ...], weight: int) -> Partition:
+    """A `Partition` of a vector already trimmed, nonnegative and of this weight, unchecked."""
+    alpha = Partition.__new__(Partition)
+    alpha.mult, alpha.weight = mult, weight
+    return alpha
+
+
+def iter_partitions(n: int) -> Iterator[Partition]:
     """Every partition of n exactly once, by decreasing lexicographic part list.
 
-    The first entry is the single part (n), the last is all ones, and
-    repeated calls return identical lists.  Each step pools one part of the
-    smallest size k > 1 with the ones and refills greedily with parts < k.
+    The first is the single part (n), the last is all ones, and every
+    call walks the same order.  Each step pools one part of the smallest
+    size k > 1 with the ones and refills greedily with parts < k.  A
+    negative n raises at the call, not at the first ``next``.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    return _walk(n)
+
+
+def _walk(n: int) -> Iterator[Partition]:
     vec = [0] * (n - 1) + [1] if n else []  # vec[i - 1] counts the parts of size i
-    out = [Partition(vec)]
+    yield _trusted(tuple(vec), n)
     top = k = n  # the largest part size; the smallest above 1, or 1 if none
     while k > 1:
         vec[k - 1] -= 1
@@ -105,9 +122,16 @@ def enumerate_partitions(n: int) -> list[Partition]:
             top = k - 1
         k = r if r > 1 else k - 1
         if k == 1:
-            k = next((i for i in range(2, top + 1) if vec[i - 1]), 1)
-        out.append(Partition(vec[:top]))
-    return out
+            for i in range(2, top + 1):
+                if vec[i - 1]:
+                    k = i
+                    break
+        yield _trusted(tuple(vec[:top]), n)
+
+
+def enumerate_partitions(n: int) -> list[Partition]:
+    """The partitions of n as a list, in the order of `iter_partitions`."""
+    return list(iter_partitions(n))
 
 
 def remove_part(alpha: Partition, i: int) -> Partition:
@@ -116,7 +140,9 @@ def remove_part(alpha: Partition, i: int) -> Partition:
         raise ValueError(f"no part of size {i} in {alpha.label()}")
     vec = list(alpha.mult)
     vec[i - 1] -= 1
-    return Partition(vec)
+    while vec and not vec[-1]:
+        vec.pop()
+    return _trusted(tuple(vec), alpha.weight - i)
 
 
 def num_parts(alpha: Partition) -> int:
@@ -152,4 +178,4 @@ def weighted_product(alpha: Partition, table: Sequence[int]) -> int:
     """
     if alpha.mult and len(alpha.mult) >= len(table):
         raise ValueError(f"table has no entry for part size {len(alpha.mult)}")
-    return prod(map(pow, table[1:], alpha.mult))
+    return prod(map(pow, islice(table, 1, None), alpha.mult))

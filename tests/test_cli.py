@@ -280,6 +280,17 @@ def test_output_matches_golden_files(capsys, name):
         assert out == (GOLDEN / f"{name}.{fmt}").read_text(), (name, fmt)
 
 
+@pytest.mark.parametrize("argv", [["c-table", "--max-n", "20"], ["table", "--max-n", "15"],
+                                  ["table", "--genus", "2", "--max-n", "12"],
+                                  ["pd", "--dim", "3", "--max-n", "13"],
+                                  ["pd", "--dim", "1", "--max-n", "0"]])
+def test_streamed_json_is_what_json_dumps_writes(capsys, argv):
+    # the rows are written one at a time, by hand; the bytes must not tell
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (code, err) == (EXIT_OK, "")
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
 def test_failed_identities_render_in_every_format(capsys, monkeypatch):
     reports = [
         Report("sigma2-convolution", 1, ()),

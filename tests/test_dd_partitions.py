@@ -163,9 +163,11 @@ def test_layered_count_refuses_past_its_fixed_caps(monkeypatch):
     cases = [(d, cap + 1, cap) for d, cap in caps.items()]
     # a d between two keys takes the cap of the next key up; past the last, none
     cases += [(3, 30, caps[3]), (2, 60, caps[2]), (11, 10, caps[12]), (top + 1, 1, 0)]
+    # past the depth cap too: the fixed cap is the one named (it used to be the depth cap)
+    cases += [(3, 600, caps[3]), (2, 600, caps[2])]
     for d, n, cap in cases:
         for call in (count_pd, count_pd_table):
-            with pytest.raises(EnumerationCapError, match="running time") as info:
+            with pytest.raises(EnumerationCapError, match="^counting .* running time") as info:
                 call(d, n)
             assert (info.value.d, info.value.n, info.value.cap) == (d, n, cap)
 
@@ -225,7 +227,7 @@ def test_caps_raise_distinct_error():
     assert enumeration_cap(2) == DEFAULT_ENUM_CAPS[2] == 16
     assert enumeration_cap(3) == 12
     assert enumeration_cap(7) == 10
-    with pytest.raises(EnumerationCapError) as info:
+    with pytest.raises(EnumerationCapError, match="^enumerating 3-dim") as info:
         count_pd_alt(3, 13)
     assert (info.value.d, info.value.n, info.value.cap) == (3, 13, 12)
     with pytest.raises(EnumerationCapError):
@@ -247,7 +249,7 @@ def test_cap_does_not_gate_count_pd():
 def test_count_pd_refuses_past_recursion_depth():
     # count_pd(1, 1200) used to die with RecursionError deep in the count
     entries = len(_CHAIN_MEMO)
-    with pytest.raises(EnumerationCapError, match="partition_count_table") as info:
+    with pytest.raises(EnumerationCapError, match="^counting .* partition_count_table") as info:
         count_pd(1, 1200)
     assert (info.value.d, info.value.n) == (1, 1200)
     assert len(_CHAIN_MEMO) == entries  # refused before counting

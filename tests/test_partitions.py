@@ -9,6 +9,7 @@ from kummerchi.partitions import (
     Partition,
     c_value,
     enumerate_partitions,
+    iter_partitions,
     num_parts,
     remove_part,
     weighted_product,
@@ -94,8 +95,9 @@ def test_enumerate_small_cases():
     assert [p.mult for p in enumerate_partitions(0)] == [()]
     assert {p.mult for p in enumerate_partitions(3)} == {(0, 0, 1), (1, 1), (3,)}
     assert len(enumerate_partitions(4)) == 5
-    with pytest.raises(ValueError):
-        enumerate_partitions(-1)
+    for walk in (enumerate_partitions, iter_partitions):
+        with pytest.raises(ValueError):
+            walk(-1)  # at the call, before any next()
 
 
 def test_enumerate_order_is_decreasing_lex():
@@ -152,6 +154,21 @@ def test_remove_part_weight_drops_by_i():
             for i, m in enumerate(alpha.mult, start=1):
                 if m:
                     assert remove_part(alpha, i).weight == n - i
+
+
+def test_walk_and_removals_build_canonical_partitions():
+    # the walk and remove_part skip Partition's validation: each result must
+    # carry the vector and weight of the validated partition, and that weight
+    def check(alpha, weight):
+        canon = Partition(alpha.mult)
+        assert (alpha.mult, alpha.weight) == (canon.mult, canon.weight) == (canon.mult, weight)
+
+    for n in range(26):
+        for alpha in iter_partitions(n):
+            check(alpha, n)
+            for i, m in enumerate(alpha.mult, start=1):
+                if m:
+                    check(remove_part(alpha, i), n - i)
 
 
 def test_num_parts():

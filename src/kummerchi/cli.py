@@ -24,7 +24,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict
 
 from . import __version__
 from .dd_partitions import (DEFAULT_ENUM_CAPS, EnumerationCapError, check_enumeration_cap,
@@ -206,7 +205,7 @@ def cmd_verify(args, out=None) -> int:
         print(f"{verdict} (max_n={args.max_n}, genus={','.join(map(str, args.genus))})", file=out)
     elif args.format == "json":
         records = [{"name": r.name, "checks": r.count, "failed": len(r.failures()),
-                    "passed": r.passed, "failures": [asdict(c) for c in r.failures()]}
+                    "passed": r.passed, "failures": [c._asdict() for c in r.failures()]}
                    for r in reports]
         _dump_json({"command": "verify", "max_n": args.max_n, "genus": args.genus,
                     "passed": passed, "reports": records}, out)

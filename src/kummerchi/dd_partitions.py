@@ -16,7 +16,10 @@ Two encodings are used, one per algorithm:
   coordinatewise order, so every prefix of the sorted box list is
   itself downward closed and every ideal is generated exactly once.
   One walk to N counts every size up to N: each ideal it visits adds
-  its addable boxes to the count one size up.
+  its addable boxes to the count one size up.  The walk codes a box as
+  one int, its coordinates the base-N digits, so that int order is lex
+  order and a predecessor is a subtraction; `enumerate_pd` decodes the
+  boxes to tuples.
 
 * nested tuples ("rep") -- a downward-closed subset of N^1 is encoded
   by its size, an int; one of N^k for k >= 2 by the tuple of its slices
@@ -26,9 +29,12 @@ Two encodings are used, one per algorithm:
   set, nesting d + 1 levels deep.  `count_pd` counts reps layer by
   layer: choose the first slice J inside the current bound, then count
   the tail bounded by J, memoizing on (bound, remaining weight) with
-  bounds clipped to canonical form.  The first slices are streamed, the
-  lower-level slice lists cached; memo and cache hold one dimension, so
-  `count_pd_table` reuses them for every n and another d empties them.
+  bounds clipped to canonical form.  For d >= 3 a bound and its
+  transpose (the first two coordinates swapped) bound equally many
+  chains, so whichever is counted first serves the other's memo miss.
+  The first slices are streamed, the lower-level slice lists cached;
+  memo and cache hold one dimension, so `count_pd_table` reuses them
+  for every n and another d empties them.
 
 Brute-force work is refused beyond a configurable cap on n (see
 `DEFAULT_ENUM_CAPS`) by raising `EnumerationCapError` instead of
@@ -235,15 +241,33 @@ def _subideals(level: int, bound, cap: int) -> Iterator[tuple[object, int]]:
             stack.pop()
 
 
+def _transpose(bound: tuple) -> tuple:
+    # swap the first two coordinates: slice i of the result holds slice i of
+    # each slice of `bound` that has one, and those slices form a prefix
+    rows = len(bound[0]) if bound else 0
+    return tuple(tuple(sl[i] for sl in bound if len(sl) > i) for i in range(rows))
+
+
 def _chain_count(d: int, bound, m: int) -> int:
-    """Number of weakly decreasing slice tuples inside `bound` of total size m."""
+    """Number of weakly decreasing slice tuples inside `bound` of total size m.
+
+    Swapping the first two coordinates maps the chains inside `bound` one
+    to one onto those inside its transpose, so for d >= 3 a miss takes the
+    transpose's count when there is one.  The count is stored under the
+    asked key only: the staircase is symmetric, so a table asks for the
+    transpose of every bound it visits anyway, and storing that key early
+    would keep a second copy of it alive.
+    """
     if not _fits(bound, m):
         bound = _clip(d, bound, m)
     total = _CHAIN_MEMO.get((bound, m))
     if total is None:
-        total = 1 if m == 0 else 0
-        for rep, size in _subideals(d, bound, m):  # the top level is streamed
-            total += _chain_count(d, rep, m - size)
+        if d >= 3:
+            total = _CHAIN_MEMO.get((_transpose(bound), m))
+        if total is None:
+            total = 1 if m == 0 else 0
+            for rep, size in _subideals(d, bound, m):  # the top level is streamed
+                total += _chain_count(d, rep, m - size)
         _CHAIN_MEMO[bound, m] = total
     return total
 
@@ -287,33 +311,39 @@ def count_pd_table(d: int, max_n: int) -> list[int]:
 
 # --- canonical-order DFS over box sets ------------------------------------
 
-def _newly_addable(
-    boxes: set[tuple[int, ...]], cell: tuple[int, ...], k: int
-) -> list[tuple[int, ...]]:
-    """Successors of `cell` all of whose predecessors are now present."""
-    out = []
-    for j in range(k):
-        succ = cell[:j] + (cell[j] + 1,) + cell[j + 1 :]
-        for i in range(k):
-            if i == j or succ[i] == 0:
-                continue
-            if succ[:i] + (succ[i] - 1,) + succ[i + 1 :] not in boxes:
-                break
-        else:
-            out.append(succ)
-    return out
+def _strides(d: int, base: int) -> list[int]:
+    """Place values of the d + 1 coordinates of a box coded as one int, most significant first."""
+    return [base**i for i in range(d, -1, -1)]
 
 
-def _lex_walk(d: int, n: int) -> Iterator[tuple[set[tuple[int, ...]], list[tuple[int, ...]]]]:
+def _lex_walk(d: int, n: int) -> Iterator[tuple[set[int], list[int]]]:
     """The canonical lex-order DFS over box sets, n >= 1: yields (boxes, addable).
 
     Every ideal with fewer than n boxes is visited once, in lex order, as
     `boxes` (shared: it changes once the walk resumes); each cell of
-    `addable` completes it to a distinct ideal with one box more.
+    `addable`, in increasing order, completes it to a distinct ideal with
+    one box more.  A box is one int whose base-n digits are its
+    coordinates (`_strides`): an ideal of at most n boxes has every
+    coordinate below n, so no digit carries and int order is lex order.
     """
-    k = d + 1
-    boxes: set[tuple[int, ...]] = set()
-    root = [(0,) * k]
+    base = max(n, 2)
+    strides = _strides(d, base)
+    preds: dict[int, list[int]] = {}  # cell -> its predecessors, one per nonzero digit
+
+    def addable_after(cell: int) -> list[int]:
+        """Successors of the newest box `cell` all of whose predecessors are now boxes."""
+        out = []
+        for step in strides:
+            succ = cell + step
+            need = preds.get(succ)
+            if need is None:
+                need = preds[succ] = [succ - s for s in strides if succ // s % base]
+            if boxes.issuperset(need):
+                out.append(succ)
+        return out
+
+    boxes: set[int] = set()
+    root = [0]
     yield boxes, root
     # per open ideal: its addable cells, the children left, the cell that made it
     stack = [(root, enumerate(root), None)] if n > 1 else []
@@ -321,7 +351,7 @@ def _lex_walk(d: int, n: int) -> Iterator[tuple[set[tuple[int, ...]], list[tuple
         addable, children, _ = stack[-1]
         for idx, cell in children:
             boxes.add(cell)
-            nxt = sorted(addable[idx + 1 :] + _newly_addable(boxes, cell, k))
+            nxt = sorted(addable[idx + 1 :] + addable_after(cell))
             yield boxes, nxt
             if len(boxes) + 1 < n:
                 stack.append((nxt, enumerate(nxt), cell))
@@ -363,7 +393,10 @@ def enumerate_pd(d: int, n: int, enum_cap: int | None = None) -> Iterator[DdPart
     if n == 0:
         yield DdPartition(d, frozenset())
         return
+    base = max(n, 2)
+    strides = _strides(d, base)
     for boxes, addable in _lex_walk(d, n):
         if len(boxes) == n - 1:
             for cell in addable:
-                yield DdPartition(d, boxes | {cell})
+                yield DdPartition(d, [tuple(c // s % base for s in strides)
+                                      for c in (*boxes, cell)])

@@ -25,10 +25,9 @@ refusal is never conflated with a failed identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .dd_partitions import (EnumerationCapError, check_enumeration_cap, count_pd_alt_table,
                             count_pd_table, enumeration_cap)
@@ -198,8 +197,7 @@ def dt_invariant(n: int) -> Fraction:
     return direct
 
 
-@dataclass(frozen=True)
-class KummerRow:
+class KummerRow(NamedTuple):
     """One table row: everything the CLI prints for a single n."""
 
     n: int
@@ -241,8 +239,7 @@ def kummer_rows(max_n: int, g: int = 3, enum_cap: int | None = None) -> list[Kum
     return rows
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One failed identity instance, with both sides kept for the record."""
 
     identity: str
@@ -254,13 +251,29 @@ class Check:
     detail: str = ""
 
 
-@dataclass(frozen=True)
 class Report:
-    """What one verifier checked: how many instances, and each one that failed."""
+    """What one verifier checked: how many instances, and each one that failed.
 
-    name: str
-    count: int
-    failed: tuple[Check, ...]
+    A plain class, not a tuple, so that `count` is the number of checks
+    and never `tuple.count`.
+    """
+
+    __slots__ = ("name", "count", "failed")
+
+    def __init__(self, name: str, count: int, failed: tuple[Check, ...]):
+        self.name, self.count, self.failed = name, count, failed
+
+    def _fields(self) -> tuple:
+        return self.name, self.count, self.failed
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Report) and self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return "Report(name={!r}, count={!r}, failed={!r})".format(*self._fields())
 
     @property
     def passed(self) -> bool:

@@ -127,6 +127,19 @@ def test_dfs_table_matches_one_walk_per_n():
     assert count_pd_alt_table(2, 0) == [1]
 
 
+def test_dfs_table_against_height_oracle_and_layered_count():
+    for d, top in ((1, 8), (2, 7), (3, 6), (4, 4), (5, 3)):
+        table = count_pd_alt_table(d, top)
+        assert table == [count_heights_oracle(d, n) for n in range(top + 1)]
+        assert table == [count_pd(d, n) for n in range(top + 1)]
+
+
+def test_dfs_table_at_the_largest_dimension():
+    # P_d(3) = k + C(k, 2) with k = d + 1: a column of three boxes in one of k
+    # directions, or an L in two of them; box codes reach 3^30 here
+    assert count_pd_alt_table(30, 3) == [1, 1, 31, 496]
+
+
 def test_table_forms_refuse_and_validate():
     with pytest.raises(EnumerationCapError):
         count_pd_alt_table(3, 13)
@@ -146,6 +159,16 @@ def test_layered_memo_holds_one_dimension():
     assert count_pd(2, 3) == 6
     assert 0 < len(_CHAIN_MEMO) < held
     assert count_pd(3, 10) == P3_KNOWN[10]
+
+
+def test_layered_memo_shares_a_count_with_the_transpose():
+    # swapping the first two coordinates maps the chains inside a bound onto
+    # those inside its transpose, so both keys hold the same count
+    for d, n, known in ((3, 10, P3_KNOWN[10]), (4, 8, count_pd_alt(4, 8))):
+        assert count_pd_table(d, n)[n] == known
+        assert len(_CHAIN_MEMO) > 0
+        for (bound, m), total in _CHAIN_MEMO.items():
+            assert _CHAIN_MEMO[dd_partitions._transpose(bound), m] == total
 
 
 def test_layered_count_refuses_past_its_fixed_caps(monkeypatch):
@@ -210,6 +233,15 @@ def test_enumeration_is_deterministic():
     first = [p.boxes for p in enumerate_pd(2, 5)]
     second = [p.boxes for p in enumerate_pd(2, 5)]
     assert first == second
+
+
+def test_enumeration_order_is_lex_order_of_sorted_boxes():
+    # the walk adds boxes in increasing lex order, so the partitions come out
+    # in lex order of their sorted box lists, boxes as tuples of d + 1 ints
+    for d, n in ((1, 6), (2, 5), (3, 4), (4, 3)):
+        walked = [sorted(p.boxes) for p in enumerate_pd(d, n)]
+        assert walked == sorted(walked)
+        assert all(type(box) is tuple and len(box) == d + 1 for boxes in walked for box in boxes)
 
 
 def test_ddpartition_validates_downward_closure():

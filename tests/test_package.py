@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import kummerchi
 from kummerchi import dd_partitions, kummer, partitions, series
 
@@ -10,3 +13,11 @@ def test_package_exports_every_module_list_once():
     for module in modules:
         for name in module.__all__:
             assert getattr(kummerchi, name) is getattr(module, name)
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_out():
+    # a fresh interpreter: pytest itself imports both modules
+    probe = ("import sys, kummerchi.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"

@@ -38,10 +38,10 @@ Two encodings are used, one per algorithm:
 
 Brute-force work is refused beyond a configurable cap on n (see
 `DEFAULT_ENUM_CAPS`) by raising `EnumerationCapError` instead of
-starting a search that cannot finish at a desk.  The layered recursion
-carries no such cap; it recurses about once per unit of n and refuses
-n above half the interpreter's recursion limit, and for d >= 2 above a
-fixed cap set by its running time (`_LAYERED_CAPS`), before counting.
+starting a search that cannot finish at a desk.  The layered count has
+no such cap, but `check_layered_cap` refuses it, before counting, past
+half the recursion limit (it recurses once per unit of n) and for d >= 2
+past a fixed cap set by its running time (`_LAYERED_CAPS`).
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ __all__ = [
     "DdPartition",
     "EnumerationCapError",
     "check_enumeration_cap",
+    "check_layered_cap",
     "count_pd",
     "count_pd_alt",
     "count_pd_alt_table",
@@ -272,7 +273,8 @@ def _chain_count(d: int, bound, m: int) -> int:
     return total
 
 
-def _refuse_layered(d: int, n: int) -> None:
+def check_layered_cap(d: int, n: int) -> None:
+    """Raise the `EnumerationCapError` that `count_pd(d, n)` would, without counting."""
     _validate_dn(d, n)
     if d > 1:  # below the depth cap at the default recursion limit, so named first
         cap = next((cap for k, cap in _LAYERED_CAPS.items() if k >= d), 0)
@@ -288,14 +290,14 @@ def count_pd(d: int, n: int) -> int:
     """Exact P_d(n) by the layered recursion.
 
     No enumeration cap applies.  The recursion is about n + d frames
-    deep, so n above half of `sys.getrecursionlimit()` raises
-    `EnumerationCapError` before any counting, and so does n above the
-    fixed cap `_LAYERED_CAPS` sets for d >= 2; `partition_count_table`
-    serves d <= 2 at larger n, up to the cap of its product expansions.
-    Counts for the same d share `_CHAIN_MEMO`.
+    deep, so `check_layered_cap` raises `EnumerationCapError`, before
+    any counting, for n above half of `sys.getrecursionlimit()` and for
+    n above the fixed cap `_LAYERED_CAPS` sets for d >= 2;
+    `partition_count_table` serves d <= 2 at larger n, up to the cap of
+    its product expansions.  Counts for the same d share `_CHAIN_MEMO`.
     """
     global _memo_dim
-    _refuse_layered(d, n)
+    check_layered_cap(d, n)
     if d != _memo_dim:
         for cache in (_CHAIN_MEMO, _SLICES, _PAIRS):
             cache.clear()
@@ -305,7 +307,7 @@ def count_pd(d: int, n: int) -> int:
 
 def count_pd_table(d: int, max_n: int) -> list[int]:
     """[P_d(0), ..., P_d(max_n)] by `count_pd`, refusing max_n before counting."""
-    _refuse_layered(d, max_n)
+    check_layered_cap(d, max_n)
     return [count_pd(d, n) for n in range(max_n + 1)]
 
 

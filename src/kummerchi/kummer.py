@@ -20,7 +20,8 @@ coefficient with exact arithmetic.  Each returns a report, shared by
 the CLI and the tests, that keeps the number of checks run and only
 the failed ones.  A failed check is data, not an exception; caps on
 brute-force enumeration do raise (`EnumerationCapError`), so resource
-refusal is never conflated with a failed identity.
+refusal is never conflated with a failed identity; and every refusal,
+`run_all_verifiers`'s for all its tables included, comes before any counting.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from fractions import Fraction
 from math import isqrt
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .dd_partitions import (EnumerationCapError, check_enumeration_cap, count_pd_alt_table,
-                            count_pd_table, enumeration_cap)
+from .dd_partitions import (EnumerationCapError, check_enumeration_cap, check_layered_cap,
+                            count_pd_alt_table, count_pd_table, enumeration_cap)
 from .partitions import (
     c_value,
     iter_partitions,
@@ -88,50 +89,47 @@ def chi_kummer_closed(n: int) -> int:
 _PRODUCT_CAP = 6000
 
 
-def _pd_values(d: int, max_n: int) -> list[int]:
-    """[P_d(0), ..., P_d(max_n)] by the route for d, unchecked.
+def _refuse_pd(d: int, max_n: int, top: int, enum_cap: int | None) -> None:
+    """Every refusal of `_pd_table`: the enumeration cap on `top`, then the route's fixed cap."""
+    check_enumeration_cap(d, top, enum_cap)
+    if d >= 3:
+        check_layered_cap(d, max_n)
+    elif d >= 1 and max_n > _PRODUCT_CAP:
+        raise EnumerationCapError(d, max_n, _PRODUCT_CAP,
+                                  "the running time of the product expansion")
 
-    Ones for d = 0, the Euler and MacMahon product expansions for d = 1
-    and d = 2, the layered `count_pd_table` for d >= 3.  The products
-    refuse max_n above `_PRODUCT_CAP` before expanding.
+
+def _pd_table(d: int, max_n: int, top: int, enum_cap: int | None) -> list[int]:
+    """[P_d(0), ..., P_d(max_n)], DFS-checked to `top`, the largest n to check (-1: none).
+
+    Every refusal comes first (`_refuse_pd`), then the route for d, then one DFS to `top`.
     """
-    if d == 0:
-        return [1] * (max_n + 1)
-    if d <= 2:
-        if max_n > _PRODUCT_CAP:
-            raise EnumerationCapError(d, max_n, _PRODUCT_CAP,
-                                      "the running time of the product expansion")
-        return product_expansion((lambda k: 1) if d == 1 else (lambda k: k), max_n)
-    return count_pd_table(d, max_n)
-
-
-def _cross_check(d: int, values: Sequence[int], cap: int) -> None:
-    """Compare every entry with n <= cap against one DFS table, `count_pd_alt_table`."""
-    route = "product" if d <= 2 else "layered"
-    top = min(cap, len(values) - 1)
-    alts = count_pd_alt_table(d, top, enum_cap=cap) if top >= 0 else []
-    for n, (value, alt) in enumerate(zip(values, alts)):
-        if alt != value:
-            raise ArithmeticError(f"P_{d}({n}): {route} gives {value}, DFS gives {alt}")
+    _refuse_pd(d, max_n, top, enum_cap)
+    if d >= 3:
+        values = count_pd_table(d, max_n)
+    elif d:
+        values = product_expansion((lambda k: 1) if d == 1 else (lambda k: k), max_n)
+    else:
+        values = [1] * (max_n + 1)
+    for n, alt in enumerate(count_pd_alt_table(d, top, enum_cap) if top >= 0 else []):
+        if alt != values[n]:
+            route = "product" if d <= 2 else "layered"
+            raise ArithmeticError(f"P_{d}({n}): {route} gives {values[n]}, DFS gives {alt}")
+    return values
 
 
 def partition_count_table(d: int, max_n: int, enum_cap: int | None = None) -> list[int]:
     """[P_d(0), ..., P_d(max_n)] for d >= 0; P_0(n) = 1 for all n.
 
-    d = 1 and d = 2 come from the Euler and MacMahon product expansions;
-    d >= 3 is counted by the layered recursion and cross-checked against
-    the DFS counter, so it is subject to the enumeration cap.
+    `top`, the largest n the DFS checks, is -1 (none) for d <= 2, whose
+    Euler and MacMahon products go unchecked, and max_n for d >= 3, which
+    the layered recursion counts, so it is subject to the enumeration cap.
     """
     if d < 0:
         raise ValueError("d must be nonnegative")
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
-    if d <= 2:
-        return _pd_values(d, max_n)
-    check_enumeration_cap(d, max_n, enum_cap)
-    values = _pd_values(d, max_n)
-    _cross_check(d, values, max_n)
-    return values
+    return _pd_table(d, max_n, max_n if d >= 3 else -1, enum_cap)
 
 
 def partition_count_rows(
@@ -139,21 +137,17 @@ def partition_count_rows(
 ) -> list[tuple[int, int, bool]]:
     """(n, P_d(n), cross-checked) for n = 0..max_n, d >= 1: the rows `pd` prints.
 
-    The values come from the same routes as `partition_count_table`;
-    every entry with n at most the cap is cross-checked by the DFS.  For
-    d <= 3 the entries above the cap are left unchecked; d >= 4 has no
-    product formula and no cross-check past the cap, so it is refused.
+    Same routes as `partition_count_table`; `top`, the largest n the DFS
+    checks, is max_n clipped to the cap for d <= 3, the rows above it
+    unchecked, and max_n for d >= 4, which has no product formula.
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
     cap = enum_cap if enum_cap is not None else enumeration_cap(d)
-    if d >= 4:
-        check_enumeration_cap(d, max_n, cap)
-    values = _pd_values(d, max_n)
-    _cross_check(d, values, cap)
-    return [(n, value, n <= cap) for n, value in enumerate(values)]
+    top = max_n if d >= 4 else min(max_n, cap)
+    return [(n, value, n <= top) for n, value in enumerate(_pd_table(d, max_n, top, enum_cap))]
 
 
 def ns_from_c(
@@ -409,8 +403,12 @@ def run_all_verifiers(
     max_n: int, genus: Iterable[int], enum_cap: int | None = None
 ) -> list[Report]:
     """All identity checks up to max_n, the g-dependent ones once per requested g."""
-    # verify_single_step enumerates partitions and takes no cap of its own
+    # every refusal first, as the checks meet them: the d = 1 cap (verify_single_step
+    # has none of its own), then partition_count_table's for P_2 and each P_{g-1}
+    genus = list(genus)
     check_enumeration_cap(1, max_n, enum_cap)
+    for d, cap in [(2, None), *((g - 1, enum_cap) for g in genus)]:
+        _refuse_pd(d, max_n, max_n if d >= 3 else -1, cap)
     reports = [verify_sigma2_convolution(max_n), verify_single_step(max_n)]
     for g in genus:
         reports.extend(_genus_reports(g, max_n, enum_cap))

@@ -141,39 +141,6 @@ def test_pd_high_dimension_needs_cap(capsys):
     assert code == EXIT_OK
 
 
-def test_pd_dim3_refuses_past_the_layered_cap_at_once(capsys, monkeypatch):
-    from kummerchi import dd_partitions
-
-    def no_counting(*args):
-        raise AssertionError("counted before refusing")
-
-    monkeypatch.setattr(dd_partitions, "_chain_count", no_counting)
-    monkeypatch.setattr(dd_partitions, "_staircase", no_counting)
-    # --dim 12 --max-n 10 is inside the enumeration cap; it ran out of memory
-    for dim, max_n, extra in (("3", "30", ()), ("3", "30", ("--enum-cap", "30")),
-                              ("12", "10", ())):
-        code, out, err = run_cli(capsys, "pd", "--dim", dim, "--max-n", max_n, *extra)
-        assert code == EXIT_CAP
-        assert out == ""
-        assert "running time of the layered count" in err
-        assert "--enum-cap" not in err  # the override does not lift this cap
-
-
-def test_product_tables_refuse_past_their_cap_at_once(capsys, monkeypatch):
-    def no_expanding(*args):
-        raise AssertionError("expanded before refusing")
-
-    monkeypatch.setattr(kummer, "product_expansion", no_expanding)
-    over = str(kummer._PRODUCT_CAP + 1)
-    for argv in (("table", "--max-n", over), ("pd", "--dim", "1", "--max-n", over),
-                 ("pd", "--dim", "2", "--max-n", over, "--enum-cap", over)):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == EXIT_CAP
-        assert out == ""
-        assert err.endswith(f"of {over} exceeds the cap of {kummer._PRODUCT_CAP} "
-                            "set by the running time of the product expansion\n")
-
-
 def test_verify_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--max-n", "6", "--genus", "1,2,3")
     assert code == EXIT_OK

@@ -289,22 +289,6 @@ def test_partition_count_rows_flags_and_routes():
         (10, 42, True), (11, 56, False), (12, 77, False)]
 
 
-def test_p_d_refusals_come_before_any_counting(monkeypatch):
-    from kummerchi import kummer
-
-    def no_counting(*args, **kwargs):
-        raise AssertionError("counted before refusing")
-
-    monkeypatch.setattr(kummer, "count_pd_table", no_counting)
-    monkeypatch.setattr(kummer, "count_pd_alt_table", no_counting)
-    with pytest.raises(EnumerationCapError):
-        partition_count_rows(4, 11)
-    with pytest.raises(EnumerationCapError):
-        partition_count_table(3, 13)
-    # the products serve table past every enumeration cap without a DFS check
-    assert partition_count_table(2, 40)[40] == product_expansion(lambda k: k, 40)[40]
-
-
 def test_cross_check_walks_once_per_table(monkeypatch):
     from kummerchi import kummer
 
@@ -317,10 +301,10 @@ def test_cross_check_walks_once_per_table(monkeypatch):
 
     monkeypatch.setattr(kummer, "count_pd_alt_table", counted)
     partition_count_rows(3, 13)
-    assert calls == [(3, 12, 12)]
+    assert calls == [(3, 12, None)]
     calls.clear()
     partition_count_table(3, 8)
-    assert calls == [(3, 8, 8)]
+    assert calls == [(3, 8, None)]
     calls.clear()
     partition_count_rows(1, 30, enum_cap=20)
     assert calls == [(1, 20, 20)]
@@ -328,6 +312,10 @@ def test_cross_check_walks_once_per_table(monkeypatch):
     assert partition_count_rows(2, 3, enum_cap=5) == [
         (0, 1, True), (1, 1, True), (2, 3, True), (3, 6, True)]
     assert calls == [(2, 3, 5)]
+    calls.clear()
+    # the products serve the Kummer routes past every enumeration cap, unchecked
+    assert partition_count_table(2, 40) == product_expansion(lambda k: k, 40)
+    assert calls == []
 
 
 def test_p_d_mismatch_names_both_counts(monkeypatch):

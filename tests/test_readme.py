@@ -14,6 +14,8 @@ from pathlib import Path
 import pytest
 
 from kummerchi.cli import EXIT_CAP, EXIT_OK
+from kummerchi.dd_partitions import _LAYERED_CAPS
+from kummerchi.kummer import _PRODUCT_CAP
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -51,3 +53,14 @@ def test_readme_example(argv, out, err):
     assert proc.stdout.decode() == expected_out
     assert proc.stderr.decode().splitlines() == err
     assert proc.returncode == (EXIT_CAP if err else EXIT_OK)
+
+
+def test_readme_cap_table_matches_the_caps():
+    rows = {}
+    for line in README.read_text().splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if cells[0] in ("d", "largest n"):
+            rows[cells[0]] = [int(cell) for cell in cells[1:]]
+    assert dict(zip(rows["d"], rows["largest n"])) == _LAYERED_CAPS
+    assert len(rows["d"]) == len(rows["largest n"])
+    assert f"refuse n above {_PRODUCT_CAP} at once" in " ".join(README.read_text().split())

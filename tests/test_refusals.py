@@ -1,0 +1,146 @@
+"""The refusal contract as one property over the CLI's argument space.
+
+Every request ends in an answer or in a refusal before any exponential
+work starts.  The innermost kernels are patched to raise `Tripped`, so a
+request that starts counting trips whatever path it took.  A small
+oracle, built from the cap tables alone, names the first cap a request
+exceeds: a refused request must exit 2 with that cap's message and trip
+nothing, and an admitted one must trip.
+"""
+
+import io
+from contextlib import ExitStack, redirect_stderr, redirect_stdout
+from unittest import mock
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from kummerchi import cli, dd_partitions, kummer, partitions
+from kummerchi.cli import EXIT_CAP
+from kummerchi.dd_partitions import _HIGHER_DIM_CAP, _LAYERED_CAPS, DEFAULT_ENUM_CAPS
+from kummerchi.kummer import _PRODUCT_CAP
+
+
+class Tripped(Exception):
+    """A kernel was called: the request got as far as counting."""
+
+
+_KERNELS = ((partitions, "_walk"), (kummer, "product_expansion"), (dd_partitions, "_staircase"),
+            (dd_partitions, "_chain_count"), (dd_partitions, "_lex_walk"))
+
+
+def _trip(*args, **kwargs):
+    raise Tripped
+
+
+def _run(argv: list[str]) -> tuple[int | None, str, str]:
+    """(exit code, or None if a kernel was called; stdout; stderr) of `kummerchi argv`."""
+    out, err = io.StringIO(), io.StringIO()
+    with ExitStack() as stack:
+        for module, name in _KERNELS:
+            stack.enter_context(mock.patch.object(module, name, _trip))
+        stack.enter_context(redirect_stdout(out))
+        stack.enter_context(redirect_stderr(err))
+        try:
+            code = cli.main(argv)
+        except Tripped:
+            code = None
+    return code, out.getvalue(), err.getvalue()
+
+
+def _expected_refusal(command: str, k, max_n: int, enum_cap: int | None) -> str | None:
+    """The error line of the first cap the request exceeds, or None if none is exceeded.
+
+    `k` is --dim for `pd`, --genus for `table` and the list of genera for
+    `verify`.  The caps come in the order the commands meet them; a table
+    of P_d for the Kummer routes is DFS-checked at every n for d >= 3 only.
+    d above the last key of `_LAYERED_CAPS` gets a cap of 0, as the program
+    has it today, though P_d(1) = 1 for every d.
+    """
+    def enumerating(d):
+        cap = enum_cap or DEFAULT_ENUM_CAPS.get(d, _HIGHER_DIM_CAP)
+        return "enumerating", d, cap, "; raise the limit with --enum-cap"
+
+    def counting(d):
+        if d <= 2:
+            return "counting", d, _PRODUCT_CAP, " set by the running time of the product expansion"
+        cap = _LAYERED_CAPS.get(min((key for key in _LAYERED_CAPS if key >= d), default=0), 0)
+        return "counting", d, cap, " set by the running time of the layered count"
+
+    def kummer_table(d):
+        return [enumerating(d), counting(d)] if d >= 3 else [counting(d)] if d else []
+
+    if command == "pd":
+        caps = [enumerating(k)] * (k >= 4) + [counting(k)]
+    elif command == "table":
+        caps = [enumerating(1)] * (k != 3) + kummer_table(k - 1)
+    elif command == "c-table":
+        caps = [enumerating(1), counting(2)]
+    else:
+        caps = [enumerating(1), counting(2)] + [c for g in k for c in kummer_table(g - 1)]
+    for verb, d, cap, tail in caps:
+        if max_n > cap:
+            return (f"error: {verb} {d}-dimensional partitions of {max_n} "
+                    f"exceeds the cap of {cap}{tail}")
+    return None
+
+
+# most of the argument space lies past every cap, so the caps and the
+# dimensions that have their own caps are drawn as often as the rest
+_SMALL_CAPS = [*DEFAULT_ENUM_CAPS.values(), _HIGHER_DIM_CAP, *_LAYERED_CAPS.values()]
+_NEAR_CAPS = sorted({cap + step for cap in _SMALL_CAPS for step in (0, 1)})
+_DIM = st.integers(1, 40) | st.integers(1, 5)
+
+
+def _request(command, max_n, k=None, enum_cap=None, fmt="text"):
+    """(argv, command, k, max_n, enum_cap) of one request; `k` as `_expected_refusal` takes it."""
+    argv = [command, "--max-n", str(max_n), "--format", fmt]
+    if k is not None:
+        flag = "--dim" if command == "pd" else "--genus"
+        argv += [flag, ",".join(map(str, k)) if command == "verify" else str(k)]
+    if enum_cap is not None:
+        argv += ["--enum-cap", str(enum_cap)]
+    return argv, command, k, max_n, enum_cap
+
+
+@st.composite
+def requests(draw):
+    """A valid request, as `_request` gives it."""
+    command = draw(st.sampled_from(["table", "c-table", "pd", "verify"]))
+    lowest = 0 if command == "pd" else 1
+    max_n = draw(st.integers(lowest, 7000) | st.integers(lowest, 60) | st.sampled_from(_NEAR_CAPS)
+                 | st.sampled_from([_PRODUCT_CAP, _PRODUCT_CAP + 1]))
+    if command == "verify":
+        k = draw(st.lists(_DIM, min_size=1, max_size=3))
+    else:
+        k = None if command == "c-table" else draw(_DIM)
+    enum_cap = draw(st.none() | st.integers(1, 600))
+    return _request(command, max_n, k, enum_cap, draw(st.sampled_from(cli._FORMATS)))
+
+
+@settings(database=None, deadline=None, max_examples=800)
+@given(requests())
+# verify refuses a table of any genus before its first check
+@example(_request("verify", 40, [5]))
+@example(_request("verify", 40, [1, 2, 3, 42]))
+@example(_request("verify", 40, [1, 2, 3, 4], enum_cap=40))
+@example(_request("verify", 7000, [2], enum_cap=7000))  # P_2's cap before P_1's
+# the layered count past its fixed caps, which --enum-cap does not lift
+@example(_request("pd", 30, 3))
+@example(_request("pd", 30, 3, enum_cap=30))
+@example(_request("pd", 10, 12))
+# a layered table past the enumeration cap of its DFS check
+@example(_request("pd", 11, 4))
+@example(_request("table", 13, 4))
+# the product expansions past theirs
+@example(_request("table", _PRODUCT_CAP + 1, 3))
+@example(_request("pd", _PRODUCT_CAP + 1, 1))
+@example(_request("pd", _PRODUCT_CAP + 1, 2, enum_cap=_PRODUCT_CAP + 1))
+def test_every_request_refuses_before_it_counts_or_is_admitted(case):
+    argv, command, k, max_n, enum_cap = case
+    expected = _expected_refusal(command, k, max_n, enum_cap)
+    code, out, err = _run(argv)
+    if expected is None:
+        assert code is None, (argv, code, err)
+    else:
+        assert (code, out, err) == (EXIT_CAP, "", expected + "\n"), argv

@@ -26,15 +26,15 @@ Two encodings are used, one per algorithm:
   {y : (j, y) in I} for j = 0, 1, ..., trailing empty slices trimmed.
   The slices are again downward closed and weakly decrease under
   containment, so a d-dimensional partition of n is the rep of its box
-  set, nesting d + 1 levels deep.  `count_pd` counts reps layer by
-  layer: choose the first slice J inside the current bound, then count
-  the tail bounded by J, memoizing on (bound, remaining weight) with
-  bounds clipped to canonical form.  For d >= 3 a bound and its
-  transpose (the first two coordinates swapped) bound equally many
-  chains, so whichever is counted first serves the other's memo miss.
-  The first slices are streamed, the lower-level slice lists cached;
-  memo and cache hold one dimension, so `count_pd_table` reuses them
-  for every n and another d empties them.
+  set, nesting d + 1 levels deep.  `count_pd_table` counts reps layer
+  by layer, every size at once: choose the first slice J inside the
+  current bound and add the counts of the tails bounded by J, shifted
+  by |J|, memoizing each bound's counts by size on the bound alone,
+  clipped to canonical form.  For d >= 3 a bound and its transpose
+  (the first two coordinates swapped) bound equally many chains, so
+  whichever is counted first serves the other's memo miss.  The first
+  slices are streamed, the lower-level slice lists cached; memo and
+  cache hold one dimension, and another d empties them.
 
 Brute-force work is refused beyond a configurable cap on n (see
 `DEFAULT_ENUM_CAPS`) by raising `EnumerationCapError` instead of
@@ -47,6 +47,7 @@ past a fixed cap set by its running time (`_LAYERED_CAPS`).
 from __future__ import annotations
 
 import sys
+from operator import add
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -68,13 +69,13 @@ __all__ = [
 # P_3(12) = 13426, P_4(10) = 13220) keep a full walk comfortably fast.
 DEFAULT_ENUM_CAPS: dict[int, int] = {1: 40, 2: 16, 3: 12}
 _HIGHER_DIM_CAP = 10
-# Caps on n for the layered count that no enum_cap lifts, by d: each is the
-# largest max_n whose count_pd_table took under about a minute of CPU, one
-# more n taking over a minute (2-vCPU host, Python 3.11; d = 2: 57 s at 40,
-# 77 s at 41; d = 3: 46 s at 23, 83 s at 24).  Time grows with d at fixed
-# n, so a d between two keys takes the cap of the next key up and d above
-# the last key is refused at every n >= 1.  d = 1 counts in linear time and
-# only the recursion limit caps it.
+# Caps on n for the layered count that no enum_cap lifts, by d: each was the
+# largest max_n whose count_pd_table, then one count per n, took under a
+# minute of CPU, one more n taking over a minute (2-vCPU host, Python 3.11;
+# d = 2: 57 s at 40, 77 s at 41; d = 3: 46 s at 23, 83 s at 24); the one-pass
+# table takes less.  Time grows with d at fixed n, so a d between two keys
+# takes the cap of the next key up and d above the last key is refused at
+# every n >= 1.  Only the recursion limit caps d = 1 (time ~ n^3, 1.2 s at 500).
 _LAYERED_CAPS: dict[int, int] = {2: 40, 3: 23, 4: 18, 5: 15, 6: 13, 7: 12, 8: 11, 9: 10, 10: 10,
                                  12: 9, 14: 8, 16: 7, 20: 7, 24: 6, 30: 5}
 
@@ -89,13 +90,8 @@ class EnumerationCapError(RuntimeError):
     def __init__(self, d: int, n: int, cap: int, fixed_by: str | None = None):
         super().__init__(
             f"{'counting' if fixed_by else 'enumerating'} {d}-dimensional partitions of {n} "
-            f"exceeds the cap of {cap}"
-            + (f" set by {fixed_by}" if fixed_by else "")
-        )
-        self.d = d
-        self.n = n
-        self.cap = cap
-        self.fixed_by = fixed_by
+            f"exceeds the cap of {cap}" + (f" set by {fixed_by}" if fixed_by else ""))
+        self.d, self.n, self.cap, self.fixed_by = d, n, cap, fixed_by
 
 
 def enumeration_cap(d: int) -> int:
@@ -139,28 +135,30 @@ class DdPartition:
                 if cell[j] > 0:
                     pred = cell[:j] + (cell[j] - 1,) + cell[j + 1 :]
                     if pred not in cells:
-                        raise ValueError(
-                            f"box set is not downward closed: {cell!r} present, {pred!r} missing"
-                        )
-        self.dim = dim
-        self.boxes = cells
+                        raise ValueError(f"box set is not downward closed: "
+                                         f"{cell!r} present, {pred!r} missing")
+        self.dim, self.boxes = dim, cells
 
     @property
     def weight(self) -> int:
         return len(self.boxes)
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, DdPartition)
-            and self.dim == other.dim
-            and self.boxes == other.boxes
-        )
+        return (isinstance(other, DdPartition)
+                and (self.dim, self.boxes) == (other.dim, other.boxes))
 
     def __hash__(self) -> int:
         return hash((self.dim, self.boxes))
 
     def __repr__(self) -> str:
         return f"DdPartition(dim={self.dim}, boxes={sorted(self.boxes)!r})"
+
+
+def _trusted_pd(dim: int, boxes: frozenset) -> DdPartition:
+    """A `DdPartition` of box tuples already of arity dim + 1 and downward closed, unchecked."""
+    obj = DdPartition.__new__(DdPartition)
+    obj.dim, obj.boxes = dim, boxes
+    return obj
 
 
 # --- layered counting recursion ------------------------------------------
@@ -199,10 +197,10 @@ def _staircase(d: int, n: int):
     return tuple(_staircase(d - 1, n // (j + 1)) for j in range(n))
 
 
-# The layered count's memo, (bound, m) -> number of chains, its cache of
-# lower-level subideal lists, (ceiling, cap) -> [(rep, size), ...], and
-# one shared copy of each listed pair, for dimension `_memo_dim` only.
-_CHAIN_MEMO: dict[tuple, int] = {}
+# The layered count's memo, bound -> [c_0, ..., c_m] chain counts by size,
+# its cache of lower-level subideal lists, (ceiling, cap) -> [(rep, size), ...],
+# and one shared copy of each listed pair, for dimension `_memo_dim` only.
+_CHAIN_MEMO: dict[object, list[int]] = {}
 _SLICES: dict[tuple, list] = {}
 _PAIRS: dict[tuple, tuple] = {}
 _memo_dim = 0
@@ -249,28 +247,28 @@ def _transpose(bound: tuple) -> tuple:
     return tuple(tuple(sl[i] for sl in bound if len(sl) > i) for i in range(rows))
 
 
-def _chain_count(d: int, bound, m: int) -> int:
-    """Number of weakly decreasing slice tuples inside `bound` of total size m.
+def _chain_count(d: int, bound, m: int) -> list[int]:
+    """[c_0, ..., c_m], c_k the weakly decreasing slice tuples inside `bound` of size k.
 
-    Swapping the first two coordinates maps the chains inside `bound` one
-    to one onto those inside its transpose, so for d >= 3 a miss takes the
-    transpose's count when there is one.  The count is stored under the
-    asked key only: the staircase is symmetric, so a table asks for the
-    transpose of every bound it visits anyway, and storing that key early
-    would keep a second copy of it alive.
+    Memoized on the bound clipped to m alone: c_k does not depend on m, so a
+    longer stored list serves by its prefix and a shorter one is recounted
+    and replaced; stored lists are never mutated.  For d >= 3 a bound and
+    its transpose bound equally many chains, so a miss takes the transpose's
+    list when it is long enough and stores nothing: tables visit both.
     """
     if not _fits(bound, m):
         bound = _clip(d, bound, m)
-    total = _CHAIN_MEMO.get((bound, m))
-    if total is None:
+    counts = _CHAIN_MEMO.get(bound)
+    if counts is None or len(counts) <= m:
         if d >= 3:
-            total = _CHAIN_MEMO.get((_transpose(bound), m))
-        if total is None:
-            total = 1 if m == 0 else 0
-            for rep, size in _subideals(d, bound, m):  # the top level is streamed
-                total += _chain_count(d, rep, m - size)
-        _CHAIN_MEMO[bound, m] = total
-    return total
+            counts = _CHAIN_MEMO.get(_transpose(bound))
+            if counts is not None and len(counts) > m:
+                return counts
+        counts = [1] + [0] * m
+        for rep, size in _subideals(d, bound, m):  # the top level is streamed
+            counts[size:] = map(add, counts[size:], _chain_count(d, rep, m - size))
+        _CHAIN_MEMO[bound] = counts
+    return counts
 
 
 def check_layered_cap(d: int, n: int) -> None:
@@ -287,28 +285,26 @@ def check_layered_cap(d: int, n: int) -> None:
 
 
 def count_pd(d: int, n: int) -> int:
-    """Exact P_d(n) by the layered recursion.
+    """Exact P_d(n): the last entry of `count_pd_table(d, n)`."""
+    return count_pd_table(d, n)[n]
 
-    No enumeration cap applies.  The recursion is about n + d frames
-    deep, so `check_layered_cap` raises `EnumerationCapError`, before
-    any counting, for n above half of `sys.getrecursionlimit()` and for
-    n above the fixed cap `_LAYERED_CAPS` sets for d >= 2;
-    `partition_count_table` serves d <= 2 at larger n, up to the cap of
-    its product expansions.  Counts for the same d share `_CHAIN_MEMO`.
+
+def count_pd_table(d: int, max_n: int) -> list[int]:
+    """[P_d(0), ..., P_d(max_n)]: the chains inside `_staircase(d, max_n)`, counted by size.
+
+    No enumeration cap applies.  The recursion is about max_n + d frames
+    deep, so `check_layered_cap` refuses, before any counting, max_n above
+    half of `sys.getrecursionlimit()` and above `_LAYERED_CAPS` for d >= 2;
+    `partition_count_table` serves d <= 2 at larger n.  Tables in one d
+    share `_CHAIN_MEMO`; the caller gets a copy.
     """
     global _memo_dim
-    check_layered_cap(d, n)
+    check_layered_cap(d, max_n)
     if d != _memo_dim:
         for cache in (_CHAIN_MEMO, _SLICES, _PAIRS):
             cache.clear()
         _memo_dim = d
-    return _chain_count(d, _staircase(d, n), n)
-
-
-def count_pd_table(d: int, max_n: int) -> list[int]:
-    """[P_d(0), ..., P_d(max_n)] by `count_pd`, refusing max_n before counting."""
-    check_layered_cap(d, max_n)
-    return [count_pd(d, n) for n in range(max_n + 1)]
+    return _chain_count(d, _staircase(d, max_n), max_n)[: max_n + 1]
 
 
 # --- canonical-order DFS over box sets ------------------------------------
@@ -387,18 +383,22 @@ def enumerate_pd(d: int, n: int, enum_cap: int | None = None) -> Iterator[DdPart
     """Yield every d-dimensional partition of n exactly once.
 
     Same canonical lex-order walk as `count_pd_alt`, materializing each
-    completion of an ideal of n - 1 boxes as a validated `DdPartition`.
-    Deterministic order; subject to the enumeration cap.
+    completion of an ideal of n - 1 boxes as a `DdPartition`, unchecked as
+    the walk builds only ideals.  Deterministic order; subject to the cap.
     """
     _validate_dn(d, n)
     check_enumeration_cap(d, n, enum_cap)
-    if n == 0:
-        yield DdPartition(d, frozenset())
-        return
     base = max(n, 2)
     strides = _strides(d, base)
-    for boxes, addable in _lex_walk(d, n):
+    coords: dict[int, tuple[int, ...]] = {}  # cell code -> box, decoded once per walk
+
+    def box(c: int) -> tuple[int, ...]:
+        return coords.get(c) or coords.setdefault(c, tuple(c // s % base for s in strides))
+
+    if n == 0:
+        yield _trusted_pd(d, frozenset())
+    for boxes, addable in _lex_walk(d, n) if n else ():
         if len(boxes) == n - 1:
+            stem = frozenset(map(box, boxes))
             for cell in addable:
-                yield DdPartition(d, [tuple(c // s % base for s in strides)
-                                      for c in (*boxes, cell)])
+                yield _trusted_pd(d, stem.union((box(cell),)))

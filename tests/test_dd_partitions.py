@@ -131,6 +131,7 @@ def test_dfs_table_against_height_oracle_and_layered_count():
     for d, top in ((1, 8), (2, 7), (3, 6), (4, 4), (5, 3)):
         table = count_pd_alt_table(d, top)
         assert table == [count_heights_oracle(d, n) for n in range(top + 1)]
+        assert table == count_pd_table(d, top)  # one pass, then per n from its memo
         assert table == [count_pd(d, n) for n in range(top + 1)]
 
 
@@ -149,13 +150,27 @@ def test_table_forms_refuse_and_validate():
         count_pd_alt_table(2, -1)
 
 
+def _empty_memo():
+    # the state a count in a new dimension starts from
+    for cache in (_CHAIN_MEMO, dd_partitions._SLICES, dd_partitions._PAIRS):
+        cache.clear()
+    dd_partitions._memo_dim = 0
+
+
 def test_layered_memo_holds_one_dimension():
-    # kept across n in one dimension, emptied by a count in another
+    # kept across tables in one dimension, emptied by a count in another
+    _empty_memo()
+    assert count_pd(3, 9) == P3_KNOWN[9]
+    fresh = len(_CHAIN_MEMO)
+    _empty_memo()
     assert count_pd_table(3, 10) == P3_KNOWN
     held = len(_CHAIN_MEMO)
     assert held > 0
-    assert count_pd(3, 9) == P3_KNOWN[9]
+    assert count_pd_table(3, 10) == P3_KNOWN
     assert len(_CHAIN_MEMO) == held
+    assert count_pd(3, 9) == P3_KNOWN[9]
+    assert len(_CHAIN_MEMO) - held < fresh
+    held = len(_CHAIN_MEMO)
     assert count_pd(2, 3) == 6
     assert 0 < len(_CHAIN_MEMO) < held
     assert count_pd(3, 10) == P3_KNOWN[10]
@@ -163,12 +178,55 @@ def test_layered_memo_holds_one_dimension():
 
 def test_layered_memo_shares_a_count_with_the_transpose():
     # swapping the first two coordinates maps the chains inside a bound onto
-    # those inside its transpose, so both keys hold the same count
+    # those inside its transpose, so a count of either serves both
     for d, n, known in ((3, 10, P3_KNOWN[10]), (4, 8, count_pd_alt(4, 8))):
+        _empty_memo()
         assert count_pd_table(d, n)[n] == known
-        assert len(_CHAIN_MEMO) > 0
-        for (bound, m), total in _CHAIN_MEMO.items():
-            assert _CHAIN_MEMO[dd_partitions._transpose(bound), m] == total
+        stored = dict(_CHAIN_MEMO)
+        assert len(stored) > 1
+        for bound, counts in stored.items():
+            _empty_memo()
+            top = len(counts) - 1
+            transposed = dd_partitions._chain_count(d, dd_partitions._transpose(bound), top)
+            assert transposed[: top + 1] == counts
+    _empty_memo()
+
+
+def test_one_pass_table_under_both_memo_rules():
+    # a longer stored list serves a smaller table by its prefix
+    _empty_memo()
+    assert count_pd_table(3, 7) == P3_KNOWN[:8]
+    fresh = len(_CHAIN_MEMO)
+    _empty_memo()
+    assert count_pd_table(3, 10) == P3_KNOWN
+    held = len(_CHAIN_MEMO)
+    assert count_pd_table(3, 7) == P3_KNOWN[:8]
+    assert len(_CHAIN_MEMO) - held < fresh
+    # a shorter stored list is recounted to the longer need and replaced
+    _empty_memo()
+    assert count_pd_table(3, 6) == P3_KNOWN[:7]
+    lengths = {bound: len(counts) for bound, counts in _CHAIN_MEMO.items()}
+    assert count_pd_table(3, 10) == P3_KNOWN == count_pd_alt_table(3, 10)
+    assert any(len(_CHAIN_MEMO.get(bound, ())) > k for bound, k in lengths.items())
+    assert [count_pd(3, n) for n in range(11)] == P3_KNOWN
+
+
+def test_layered_table_is_a_copy():
+    # the caller gets a copy, never a memo list, so mutating it changes no count
+    _empty_memo()
+    for top in (10, 8, 10):
+        table = count_pd_table(3, top)
+        table[:] = [0] * len(table)
+        assert count_pd_table(3, 10) == P3_KNOWN
+        assert count_pd(3, 8) == P3_KNOWN[8]
+
+
+def test_layered_memo_size_at_14():
+    # one list per clipped bound, transposes unstored: 471 entries, where a
+    # memo keyed on (bound, remaining weight) held 2,220
+    _empty_memo()
+    assert count_pd_table(3, 14)[12:] == [13426, 27248, 54804]
+    assert len(_CHAIN_MEMO) <= 600
 
 
 def test_layered_count_refuses_past_its_fixed_caps(monkeypatch):
@@ -211,6 +269,7 @@ def test_enumerate_pd_yields_distinct_valid_objects():
     for d, n in ((2, 5), (3, 4)):
         seen = set()
         for obj in enumerate_pd(d, n):
+            assert DdPartition(d, obj.boxes) == obj  # the public constructor checks closure
             assert obj.dim == d
             assert obj.weight == n
             assert obj not in seen

@@ -90,8 +90,13 @@ class EnumerationCapError(RuntimeError):
     def __init__(self, d: int, n: int, cap: int, fixed_by: str | None = None):
         super().__init__(
             f"{'counting' if fixed_by else 'enumerating'} {d}-dimensional partitions of {n} "
-            f"exceeds the cap of {cap}" + (f" set by {fixed_by}" if fixed_by else ""))
-        self.d, self.n, self.cap, self.fixed_by = d, n, cap, fixed_by
+            f"exceeds the cap of {cap}"
+            + (f" set by {fixed_by}" if fixed_by else "")
+        )
+        self.d = d
+        self.n = n
+        self.cap = cap
+        self.fixed_by = fixed_by
 
 
 def enumeration_cap(d: int) -> int:
@@ -135,17 +140,22 @@ class DdPartition:
                 if cell[j] > 0:
                     pred = cell[:j] + (cell[j] - 1,) + cell[j + 1 :]
                     if pred not in cells:
-                        raise ValueError(f"box set is not downward closed: "
-                                         f"{cell!r} present, {pred!r} missing")
-        self.dim, self.boxes = dim, cells
+                        raise ValueError(
+                            f"box set is not downward closed: {cell!r} present, {pred!r} missing"
+                        )
+        self.dim = dim
+        self.boxes = cells
 
     @property
     def weight(self) -> int:
         return len(self.boxes)
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, DdPartition)
-                and (self.dim, self.boxes) == (other.dim, other.boxes))
+        return (
+            isinstance(other, DdPartition)
+            and self.dim == other.dim
+            and self.boxes == other.boxes
+        )
 
     def __hash__(self) -> int:
         return hash((self.dim, self.boxes))
@@ -388,6 +398,9 @@ def enumerate_pd(d: int, n: int, enum_cap: int | None = None) -> Iterator[DdPart
     """
     _validate_dn(d, n)
     check_enumeration_cap(d, n, enum_cap)
+    if n == 0:
+        yield _trusted_pd(d, frozenset())
+        return
     base = max(n, 2)
     strides = _strides(d, base)
     coords: dict[int, tuple[int, ...]] = {}  # cell code -> box, decoded once per walk
@@ -395,9 +408,7 @@ def enumerate_pd(d: int, n: int, enum_cap: int | None = None) -> Iterator[DdPart
     def box(c: int) -> tuple[int, ...]:
         return coords.get(c) or coords.setdefault(c, tuple(c // s % base for s in strides))
 
-    if n == 0:
-        yield _trusted_pd(d, frozenset())
-    for boxes, addable in _lex_walk(d, n) if n else ():
+    for boxes, addable in _lex_walk(d, n):
         if len(boxes) == n - 1:
             stem = frozenset(map(box, boxes))
             for cell in addable:

@@ -21,11 +21,9 @@ flat in n.  Text holds the cell strings, which the column widths need.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 
-from . import __version__
+from . import __version__, partitions
 from .dd_partitions import (DEFAULT_ENUM_CAPS, EnumerationCapError, check_enumeration_cap,
                             enumeration_cap)
 from .kummer import (
@@ -35,7 +33,6 @@ from .kummer import (
     run_all_verifiers,
     sigma,
 )
-from .partitions import c_value, iter_partitions, weighted_product
 
 EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1
@@ -74,17 +71,15 @@ def _genus_list(text: str) -> list[int]:
     return values
 
 
-_JSON = json.JSONEncoder(sort_keys=True, indent=2)
-_SCALAR = json.JSONEncoder().encode  # the compact encoder, in C
-
-
 def _dump_json(payload: dict, out) -> None:
-    print(_JSON.encode(payload), file=out)
+    import json  # here, not at start-up: only JSON output needs it
+    print(json.dumps(payload, sort_keys=True, indent=2), file=out)
 
 
 def _json_field(key: str, value) -> str:
     """`"key": value` as `_dump_json` writes a top-level field, without its indent."""
-    return f"{_JSON.encode(key)}: " + _JSON.encode(value).replace("\n", "\n  ")
+    import json
+    return json.dumps({key: value}, sort_keys=True, indent=2)[4:-2]  # within "{\n  " and "\n}"
 
 
 def _yes_no(value) -> str:
@@ -106,19 +101,22 @@ def _emit(fmt, out, meta, header, rows, text_header=None, cell=str, footer=None)
     after the table.
     """
     if fmt == "json":
+        import json
+        scalar = json.JSONEncoder().encode  # the compact encoder, in C
         out.write("{\n" + "".join(f"  {_json_field(k, v)},\n" for k, v in sorted(meta.items())))
-        # a row holds scalars, so its record is laid out here as `_JSON` would
+        # a row holds scalars, so its record is laid out here as `_dump_json` would
         # lay it out, two levels deep, and only the values go through the encoder
         order = sorted(range(len(header)), key=header.__getitem__)
-        names = [f"\n      {_JSON.encode(header[i])}: " for i in order]
+        names = [f"\n      {scalar(header[i])}: " for i in order]
         out.write('  "rows": [')
         sep = "\n    {"
         for row in rows:
-            out.write(sep + ",".join([name + _SCALAR(row[i]) for name, i in zip(names, order)])
+            out.write(sep + ",".join([name + scalar(row[i]) for name, i in zip(names, order)])
                       + "\n    }")
             sep = ",\n    {"
         out.write("\n  ]")
     elif fmt == "csv":
+        import csv  # here, not at start-up: only CSV output needs it
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows if cell is str else ([cell(v) for v in row] for row in rows))
@@ -149,6 +147,7 @@ def cmd_table(args, out=None) -> int:
 
 
 def cmd_c_table(args, out=None) -> int:
+    """c(alpha) for each alpha of n, and sum c(alpha) * prod P_2(i)^alpha_i, from one walk."""
     n = args.max_n
     check_enumeration_cap(1, n, args.enum_cap)
     table = partition_count_table(2, n)
@@ -157,10 +156,14 @@ def cmd_c_table(args, out=None) -> int:
 
     def rows():
         nonlocal total
-        for alpha in iter_partitions(n):
-            c = c_value(alpha)
-            total += c * weighted_product(alpha, table)
-            yield alpha.label(), c
+        labels = [""]  # labels[k]: the label, and a space, of the walk's node at depth k
+        for weight, _, _, c, w, path in partitions._strata(n, table, least=n):
+            del labels[len(path):]
+            i, m = path[-1]
+            labels.append(f"{i}^{m} {labels[-1]}")  # a parent's label after its child's part
+            if weight == n:
+                total += c * w
+                yield labels[-1][:-1], c
 
     def footer():
         ok = total == expected

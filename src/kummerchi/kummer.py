@@ -32,13 +32,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .dd_partitions import (EnumerationCapError, check_enumeration_cap, check_layered_cap,
                             count_pd_alt_table, count_pd_table, enumeration_cap)
-from .partitions import (
-    c_value,
-    iter_partitions,
-    num_parts,
-    remove_part,
-    weighted_product,
-)
+from . import partitions
 from .series import TruncatedSeries, log_coefficients, product_expansion
 
 __all__ = [
@@ -150,15 +144,23 @@ def partition_count_rows(
     return [(n, value, n <= top) for n, value in enumerate(_pd_table(d, max_n, top, enum_cap))]
 
 
+def _ns_table(max_n: int, table: Sequence[int]) -> list[int]:
+    """[0, 1 * s_1, ..., max_n * s_max_n]: each n's sum of c * prod table[i]^alpha_i, one walk."""
+    ns = [0] * (max_n + 1)
+    for n, _, _, c, w, _ in partitions._strata(max_n, table):
+        ns[n] += c * w
+    return ns
+
+
 def ns_from_c(
     n: int, g: int, table: Sequence[int] | None = None, enum_cap: int | None = None
 ) -> int:
     """n * s_n out of the signed weights: sum over alpha of n of c(alpha) * prod P_{g-1}.
 
     Equals sigma_2(n) at g = 3, sigma_1(n) at g = 2 and 1 at g = 1.
-    `table` may carry a precomputed `partition_count_table(g - 1, >= n)`.
-    The partitions of n are walked one at a time, so n is subject to the
-    d = 1 cap but no list of p(n) partitions is held.
+    `table` may carry a precomputed `partition_count_table(g - 1, >= n)`; a
+    shorter one raises `ValueError` before the walk, which holds one path, not p(n)
+    partitions (`_ns_table`).  n is subject to the d = 1 cap.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -167,7 +169,9 @@ def ns_from_c(
     check_enumeration_cap(1, n, enum_cap)
     if table is None:
         table = partition_count_table(g - 1, n, enum_cap=enum_cap)
-    return sum(c_value(a) * weighted_product(a, table) for a in iter_partitions(n))
+    elif len(table) <= n:
+        raise ValueError(f"table has no entry for part size {n}")
+    return _ns_table(n, table)[n]
 
 
 def chi_kummer_stratified(
@@ -204,9 +208,9 @@ class KummerRow(NamedTuple):
 def kummer_rows(max_n: int, g: int = 3, enum_cap: int | None = None) -> list[KummerRow]:
     """Rows for n = 1..max_n at a fixed g.
 
-    chi uses the closed formula at g = 3 and the stratified sum for any
-    other g; dt generalizes the threefold DT invariant as
-    (-1)^(n+1) * chi / n^(2g), which is (-1)^(n+1) * s_n.
+    chi uses the closed formula at g = 3 and the stratified sum, one walk for
+    every n (`_ns_table`), for any other g; dt generalizes the threefold DT
+    invariant as (-1)^(n+1) * chi / n^(2g), which is (-1)^(n+1) * s_n.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
@@ -214,12 +218,10 @@ def kummer_rows(max_n: int, g: int = 3, enum_cap: int | None = None) -> list[Kum
         check_enumeration_cap(1, max_n, enum_cap)
     table = partition_count_table(g - 1, max_n, enum_cap=enum_cap)
     s = log_coefficients(table)
+    ns = _ns_table(max_n, table) if g != 3 else None
     rows = []
     for n in range(1, max_n + 1):
-        if g == 3:
-            chi = chi_kummer_closed(n)
-        else:
-            chi = chi_kummer_stratified(n, g, table=table, enum_cap=enum_cap)
+        chi = chi_kummer_closed(n) if g == 3 else n ** (2 * g - 1) * ns[n]
         sign = 1 if n % 2 else -1
         rows.append(
             KummerRow(
@@ -317,44 +319,45 @@ def verify_single_step(max_n: int) -> Report:
 
     plus the same relation with the g = 3 geometric factors (n-i)^6/n^6
     left uncancelled (compared in integers), plus the closure: summing over
-    the distinct sizes i recovers c(alpha) = -sum_i c(alpha-hat-i), which
-    is the defining recursion.  Single-part alpha are the recursion's base
-    case and are skipped.  `c_value` uses the closed form: this closure
-    checks the recursion.
+    the distinct sizes i recovers c(alpha) = -sum_i c(alpha-hat-i), the
+    defining recursion, whose base case, single-part alpha, is skipped.  One
+    walk gives each c(alpha), and c(alpha-hat-i) is the same closed form at
+    (n - i, parts - 1, D / alpha_i).  Failures come by n, each n's in walk order.
     """
+    c_closed = partitions._c_closed
     tally = _Tally("single-step")
-    for n in range(1, max_n + 1):
-        for alpha in iter_partitions(n):
-            p = num_parts(alpha)
-            if p < 2:
-                continue
-            ca = c_value(alpha)
-            removed_total = 0
-            for i, m in enumerate(alpha.mult, start=1):
-                if not m:
-                    continue
-                chat = c_value(remove_part(alpha, i))
-                removed_total += chat
-                lhs = chat * n * (p - 1)
-                rhs = -m * (n - i) * ca
-                tally(lhs == rhs, n, lambda: (lhs, rhs, f"alpha={alpha.label()} i={i}"))
-                # (n-i)^5 chat = -m (n-i)^6 / (n^6 (p-1)) * n^5 ca, times n^6 (p-1) > 0
-                fibres = (n - i) ** 5 * chat * n**6 * (p - 1) == -m * (n - i) ** 6 * n**5 * ca
-                tally(fibres, n, lambda: (
-                    Fraction((n - i) ** 5 * chat),
-                    Fraction(-m * (n - i) ** 6, n**6 * (p - 1)) * (n**5 * ca),
-                    f"alpha={alpha.label()} i={i} g3-fibres"))
-            tally(removed_total == -ca, n,
-                  lambda: (removed_total, -ca, f"alpha={alpha.label()} closure"))
+
+    def label():  # alpha's `Partition.label`, for the record of a failed check
+        return " ".join(f"{i}^{m}" for i, m in reversed(path))
+
+    for n, p, d, ca, _, path in partitions._strata(max_n, [1] * (max_n + 1)):
+        if p < 2:
+            continue
+        removed_total = 0
+        for i, m in reversed(path):
+            chat = c_closed(n - i, p - 1, d // m)
+            removed_total += chat
+            lhs = chat * n * (p - 1)
+            rhs = -m * (n - i) * ca
+            tally(lhs == rhs, n, lambda: (lhs, rhs, f"alpha={label()} i={i}"))
+            # (n-i)^5 chat = -m (n-i)^6 / (n^6 (p-1)) * n^5 ca, times n^6 (p-1) > 0
+            fibres = (n - i) ** 5 * chat * n**6 * (p - 1) == -m * (n - i) ** 6 * n**5 * ca
+            tally(fibres, n, lambda: (
+                Fraction((n - i) ** 5 * chat),
+                Fraction(-m * (n - i) ** 6, n**6 * (p - 1)) * (n**5 * ca),
+                f"alpha={label()} i={i} g3-fibres"))
+        tally(removed_total == -ca, n,
+              lambda: (removed_total, -ca, f"alpha={label()} closure"))
+    tally.failed.sort(key=lambda check: check.n)  # stable: each n keeps the walk's order
     return tally.report()
 
 
 def _genus_reports(g: int, max_n: int, enum_cap: int | None = None) -> tuple[Report, Report]:
     """chi-series(g) and first-order(g): the log solve and the stratified sum, each run once."""
     table = partition_count_table(g - 1, max_n, enum_cap=enum_cap)
+    check_enumeration_cap(1, max_n, enum_cap)
     s = log_coefficients(table)
-    strat = [chi_kummer_stratified(n, g, table=table, enum_cap=enum_cap)
-             for n in range(1, max_n + 1)]
+    strat = [n ** (2 * g - 1) * ns for n, ns in enumerate(_ns_table(max_n, table)) if n]
     series = _Tally("chi-series", g)
     for n, s_n, chi in zip(range(1, max_n + 1), s, strat):
         val = n ** (2 * g) * s_n

@@ -11,14 +11,15 @@ prod_i P_i^(alpha_i) in n [q^n] log(1 + sum_{i>=1} P_i q^i).  It solves
 the signed recursion c((n)) = n, c(alpha) = -sum_i c(alpha with one part
 of size i removed), with i over the *distinct* part sizes of alpha.
 
-`iter_partitions` walks the partitions of n one at a time, so a sum over
-them holds one partition, not p(n); `enumerate_partitions` is its list.
-Nothing in this module keeps state between calls.
+`_strata` walks the partitions of every n up to a bound depth first, each
+term of the stratified sums stepped from its parent's, and holds one path;
+`iter_partitions` yields its partitions of one n, `enumerate_partitions`
+lists them.  Nothing in this module keeps state between calls.
 """
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import accumulate
 from math import factorial, prod
 from operator import index, mul
 from typing import Iterable, Iterator, Sequence
@@ -27,10 +28,7 @@ __all__ = [
     "Partition",
     "iter_partitions",
     "enumerate_partitions",
-    "remove_part",
-    "num_parts",
     "c_value",
-    "weighted_product",
 ]
 
 
@@ -98,9 +96,8 @@ def iter_partitions(n: int) -> Iterator[Partition]:
     """Every partition of n exactly once, by decreasing lexicographic part list.
 
     The first is the single part (n), the last is all ones, and every
-    call walks the same order.  Each step pools one part of the smallest
-    size k > 1 with the ones and refills greedily with parts < k.  A
-    negative n raises at the call, not at the first ``next``.
+    call walks the same order: that of `_strata`, whose partitions of n
+    these are.  A negative n raises at the call, not at the first ``next``.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -108,25 +105,14 @@ def iter_partitions(n: int) -> Iterator[Partition]:
 
 
 def _walk(n: int) -> Iterator[Partition]:
-    vec = [0] * (n - 1) + [1] if n else []  # vec[i - 1] counts the parts of size i
-    yield _trusted(tuple(vec), n)
-    top = k = n  # the largest part size; the smallest above 1, or 1 if none
-    while k > 1:
-        vec[k - 1] -= 1
-        q, r = divmod(vec[0] + k, k - 1)
-        vec[0] = 0
-        vec[k - 2] = q
-        if r:
-            vec[r - 1] += 1
-        if not vec[top - 1]:
-            top = k - 1
-        k = r if r > 1 else k - 1
-        if k == 1:
-            for i in range(2, top + 1):
-                if vec[i - 1]:
-                    k = i
-                    break
-        yield _trusted(tuple(vec[:top]), n)
+    if not n:
+        yield _trusted((), 0)
+    for weight, _, _, _, _, path in _strata(n, [1] * (n + 1), least=n):
+        if weight == n:
+            vec = [0] * path[0][0]  # vec[i - 1] counts the parts of size i
+            for i, m in path:
+                vec[i - 1] = m
+            yield _trusted(tuple(vec), n)
 
 
 def enumerate_partitions(n: int) -> list[Partition]:
@@ -134,48 +120,56 @@ def enumerate_partitions(n: int) -> list[Partition]:
     return list(iter_partitions(n))
 
 
-def remove_part(alpha: Partition, i: int) -> Partition:
-    """The partition with one part of size i removed; weight drops by i."""
-    if i < 1 or i > len(alpha.mult) or alpha.mult[i - 1] == 0:
-        raise ValueError(f"no part of size {i} in {alpha.label()}")
-    vec = list(alpha.mult)
-    vec[i - 1] -= 1
-    while vec and not vec[-1]:
-        vec.pop()
-    return _trusted(tuple(vec), alpha.weight - i)
-
-
-def num_parts(alpha: Partition) -> int:
-    """Total number of parts, counted with multiplicity."""
-    return sum(alpha.mult)
-
-
-def c_value(alpha: Partition) -> int:
-    """The signed weight c(alpha), an exact integer.
-
-    Evaluated by the module's closed form, a multinomial expansion that
-    shares no code with the triangular solve in `series.log_coefficients`,
-    so the stratified and log-series routes stay independent; the recursion
-    is checked by `kummer.verify_single_step`.  A remainder raises `ArithmeticError`.
-
-    Rejects the empty partition: c is only defined for weight >= 1.
-    """
-    n = alpha.weight
-    if n == 0:
-        raise ValueError("c is undefined for the empty partition")
-    parts = sum(alpha.mult)
-    value, rem = divmod(n * factorial(parts - 1), prod(map(factorial, alpha.mult)))
+def _c_closed(n: int, parts: int, dfact: int) -> int:
+    """c of a partition of n >= 1 into `parts` parts with prod_i alpha_i! = `dfact`."""
+    value, rem = divmod(n * factorial(parts - 1), dfact)
     if rem:
-        raise ArithmeticError(f"c({alpha.label()}) is not an integer")
+        raise ArithmeticError(f"c({n}, {parts} parts, {dfact}) is not an integer")
     return value if parts % 2 else -value
 
 
-def weighted_product(alpha: Partition, table: Sequence[int]) -> int:
-    """Product over the part sizes i of ``table[i] ** alpha_i``.
+def c_value(alpha: Partition) -> int:
+    """The signed weight c(alpha), an exact integer; the empty partition has none.
 
-    ``table`` is indexed by part size, so it must reach index i for every
-    size present in alpha.  The empty partition gives 1.
+    By the closed form, which shares no code with `series.log_coefficients`;
+    `kummer.verify_single_step` checks it against the recursion.
     """
-    if alpha.mult and len(alpha.mult) >= len(table):
-        raise ValueError(f"table has no entry for part size {len(alpha.mult)}")
-    return prod(map(pow, islice(table, 1, None), alpha.mult))
+    if alpha.weight == 0:
+        raise ValueError("c is undefined for the empty partition")
+    return _c_closed(alpha.weight, sum(alpha.mult), prod(map(factorial, alpha.mult)))
+
+
+def _strata(max_n: int, table: Sequence[int], least: int = 1) -> Iterator[tuple]:
+    """(n, l, D, c, W, path) for each partition alpha of n = least..max_n and each parent of one.
+
+    Depth first, by decreasing largest part and each size's multiplicity from
+    high to low.  `path` is one list, changed in place, of alpha's (size,
+    multiplicity) pairs, largest size first; l counts its parts, D = prod_i
+    alpha_i!, W = prod_i table[i]^(alpha_i) and c = `_c_closed(n, l, D)`.  A
+    child of size 1 is a leaf, skipped if its n is below `least`.
+    """
+    fact = list(accumulate(range(1, max_n + 1), mul, initial=1))
+    ones = list(accumulate(table[1:2] * max_n, mul, initial=1))  # ones[k] = table[1]^k
+    path: list[tuple[int, int]] = []
+    # pending: a parent's depth, n, l, D, W, then a child's (i, m), or (1, room) for all of size 1
+    stack = [(0, 0, 0, 1, 1, 1, max_n)]
+    stack += [(0, 0, 0, 1, 1, i, m) for i in range(2, max_n + 1) for m in range(1, max_n // i + 1)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        depth, n0, l0, d0, w0, i, m = pop()
+        if i == 1:
+            path[depth:] = [None]
+            for k in range(m, max(least - n0, 1) - 1, -1):
+                path[-1] = (1, k)
+                n, l, d = n0 + k, l0 + k, d0 * fact[k]
+                yield n, l, d, _c_closed(n, l, d), w0 * ones[k], path
+            continue
+        path[depth:] = [(i, m)]
+        n, l, d, w = n0 + i * m, l0 + m, d0 * fact[m], w0 * table[i] ** m
+        yield n, l, d, _c_closed(n, l, d), w, path
+        room = max_n - n
+        if room:  # pushed in reverse order of visit: size 1 first, then ascending
+            push((depth + 1, n, l, d, w, 1, room))
+            for j in range(2, min(i, room + 1)):
+                for k in range(1, room // j + 1):
+                    push((depth + 1, n, l, d, w, j, k))

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from kummerchi import cli, kummer
+from kummerchi import cli, partitions
 from kummerchi.cli import (
     EXIT_CAP,
     EXIT_IDENTITY_FAILURE,
@@ -304,8 +304,10 @@ def test_verifier_failures_render_in_every_format(capsys, monkeypatch):
     # c(1^1 2^1) one too large, as the real verifiers report it: the single-step
     # relation, its g3-fibre form with both sides as fractions, and the closure fail
     # for that alpha and where it is what remains after removing a part
-    real_c = kummer.c_value
-    monkeypatch.setattr(kummer, "c_value", lambda alpha: real_c(alpha) + (alpha.mult == (1, 1)))
+    # (n, parts, prod alpha_i!) = (3, 2, 1) is 1^1 2^1 alone
+    real_c = partitions._c_closed
+    monkeypatch.setattr(partitions, "_c_closed", lambda n, parts, dfact: real_c(n, parts, dfact)
+                        + ((n, parts, dfact) == (3, 2, 1)))
     for fmt in ("text", "csv", "json"):
         got = run_cli(capsys, "verify", "--max-n", "4", "--genus", "1", "--format", fmt)
         expected = (GOLDEN / f"verify-4-fault.{fmt}").read_text()

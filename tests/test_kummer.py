@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from kummerchi import kummer
+from kummerchi import kummer, partitions
 from kummerchi.dd_partitions import EnumerationCapError, count_pd
 from kummerchi.kummer import (
     Check,
@@ -83,6 +83,25 @@ def test_ns_from_c_closed_forms():
         assert ns_from_c(n, 1) == 1
         assert ns_from_c(n, 2) == sigma(1, n)
         assert ns_from_c(n, 3) == sigma(2, n)
+
+
+def test_one_walk_gives_every_ns_to_the_cap():
+    # n * s_n of every n <= 40 from one walk per genus, against the divisor sums
+    for g, expected in ((1, lambda n: 1), (2, lambda n: sigma(1, n)), (3, lambda n: sigma(2, n))):
+        ns = kummer._ns_table(40, partition_count_table(g - 1, 40))
+        assert ns == [0] + [expected(n) for n in range(1, 41)], g
+    assert ns_from_c(40, 3) == sigma(2, 40)
+
+
+def test_ns_from_c_refuses_a_short_table_before_it_walks(monkeypatch):
+    def tripped(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(partitions, "_strata", tripped)
+    with pytest.raises(ValueError, match="table has no entry for part size 3"):
+        ns_from_c(3, 3, table=[1, 1, 3])
+    with pytest.raises(ValueError, match="table has no entry for part size 3"):
+        chi_kummer_stratified(3, 2, table=[1, 1, 2])
 
 
 def test_three_routes_to_sigma2():
@@ -177,9 +196,10 @@ def test_verify_single_step(monkeypatch):
         2 * sum(1 for m in a.mult if m) + 1
         for n in range(1, 11) for a in enumerate_partitions(n) if sum(a.mult) > 1
     )
-    # c(alpha) + 1 for every alpha breaks every check, so each one is kept as a failure
-    real_c = kummer.c_value
-    monkeypatch.setattr(kummer, "c_value", lambda alpha: real_c(alpha) + 1)
+    # c(alpha) + 1 for every alpha breaks every check, so each one is kept as a failure;
+    # the closed form gives c both to the walk and to each removal
+    real_c = partitions._c_closed
+    monkeypatch.setattr(partitions, "_c_closed", lambda n, parts, dfact: real_c(n, parts, dfact) + 1)
     failures = verify_single_step(10).failures()
     assert len(failures) == report.count
     # base cases are skipped: no checks mention a single-part alpha
@@ -244,7 +264,7 @@ def test_run_all_verifiers():
 
 
 def test_run_all_verifiers_builds_each_table_once(monkeypatch):
-    from kummerchi import kummer
+    from kummerchi import kummer, partitions
 
     built = []
 
@@ -260,22 +280,24 @@ def test_run_all_verifiers_builds_each_table_once(monkeypatch):
 
 
 def test_run_all_verifiers_solves_each_genus_once(monkeypatch):
-    strat_calls, log_calls = [], []
+    walks, log_calls = [], []
+    real_walk = partitions._strata
 
-    def counting_strat(n, g, table=None, enum_cap=None):
-        strat_calls.append((g, n))
-        return chi_kummer_stratified(n, g, table=table, enum_cap=enum_cap)
+    def counting_walk(max_n, table):
+        walks.append((max_n, list(table)))
+        return real_walk(max_n, table)
 
     def counting_log(counts):
         log_calls.append(len(counts) - 1)
         return log_coefficients(counts)
 
-    monkeypatch.setattr(kummer, "chi_kummer_stratified", counting_strat)
+    monkeypatch.setattr(partitions, "_strata", counting_walk)
     monkeypatch.setattr(kummer, "log_coefficients", counting_log)
     reports = run_all_verifiers(8, [1, 2, 3])
     assert all(r.passed for r in reports)
-    # one stratified chi per (g, n) and one logarithm per g serve both genus reports
-    assert strat_calls == [(g, n) for g in (1, 2, 3) for n in range(1, 9)]
+    # the single-step check walks once, unweighted; then one stratified walk, weighted
+    # by P_{g-1}, and one logarithm per g serve both genus reports, every n at once
+    assert walks == [(8, [1] * 9)] + [(8, partition_count_table(g - 1, 8)) for g in (1, 2, 3)]
     assert log_calls == [8, 8, 8]
 
 
@@ -290,7 +312,7 @@ def test_partition_count_rows_flags_and_routes():
 
 
 def test_cross_check_walks_once_per_table(monkeypatch):
-    from kummerchi import kummer
+    from kummerchi import kummer, partitions
 
     real = kummer.count_pd_alt_table
     calls = []
@@ -319,7 +341,7 @@ def test_cross_check_walks_once_per_table(monkeypatch):
 
 
 def test_p_d_mismatch_names_both_counts(monkeypatch):
-    from kummerchi import kummer
+    from kummerchi import kummer, partitions
 
     real = kummer.count_pd_alt_table
     wrong_at = []

@@ -16,8 +16,9 @@ def test_package_exports_every_module_list_once():
 
 
 def test_cli_import_leaves_dataclasses_and_inspect_out():
-    # a fresh interpreter: pytest itself imports both modules
+    # a fresh interpreter: pytest itself imports all four; json and csv are imported
+    # only by the branches that write those formats
     probe = ("import sys, kummerchi.cli; "
-             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+             "print(sorted({'dataclasses', 'inspect', 'json', 'csv'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     assert proc.stdout == "[]\n"

@@ -1,18 +1,17 @@
 import random
 from functools import lru_cache
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
 
 from kummerchi.dd_partitions import count_pd
 from kummerchi.partitions import (
     Partition,
+    _c_closed,
+    _strata,
     c_value,
     enumerate_partitions,
     iter_partitions,
-    num_parts,
-    remove_part,
-    weighted_product,
 )
 from kummerchi.series import product_expansion
 
@@ -39,21 +38,31 @@ def partition_count_oracle(n):
     return table[n][n]
 
 
+def without_part(mult, i):
+    """The multiplicity tuple with one part of size i removed, trailing zeros trimmed."""
+    hat = list(mult)
+    hat[i - 1] -= 1
+    while hat and hat[-1] == 0:
+        hat.pop()
+    return tuple(hat)
+
+
 # Third oracle: the defining signed recursion for c, on multiplicity tuples.
 @lru_cache(maxsize=None)
 def c_by_recursion(mult):
     weight = sum(i * m for i, m in enumerate(mult, start=1))
     if sum(mult) == 1:
         return weight
-    total = 0
-    for i, m in enumerate(mult, start=1):
-        if m:
-            hat = list(mult)
-            hat[i - 1] -= 1
-            while hat and hat[-1] == 0:
-                hat.pop()
-            total += c_by_recursion(tuple(hat))
-    return -total
+    return -sum(c_by_recursion(without_part(mult, i)) for i, m in enumerate(mult, start=1) if m)
+
+
+def walk_nodes(max_n, table, least=1):
+    """`_strata(max_n, table, least)` as (n, mult, l, D, c, W), with the path read into a tuple."""
+    for n, l, d, c, w, path in _strata(max_n, table, least):
+        mult = [0] * path[0][0]
+        for i, m in path:
+            mult[i - 1] = m
+        yield n, tuple(mult), l, d, c, w
 
 
 def test_canonical_form_trims_trailing_zeros():
@@ -138,43 +147,31 @@ def test_enumerate_is_deterministic():
     assert enumerate_partitions(9) == enumerate_partitions(9)
 
 
-def test_remove_part():
-    alpha = Partition((1, 1))  # 1^1 2^1
-    assert remove_part(alpha, 2) == Partition((1,))
-    assert remove_part(alpha, 1) == Partition((0, 1))
-    with pytest.raises(ValueError):
-        remove_part(alpha, 3)
-    with pytest.raises(ValueError):
-        remove_part(Partition((0, 1)), 1)
-
-
 def test_remove_part_weight_drops_by_i():
-    for n in range(1, 11):
-        for alpha in enumerate_partitions(n):
-            for i, m in enumerate(alpha.mult, start=1):
-                if m:
-                    assert remove_part(alpha, i).weight == n - i
+    # the single-step check takes c(alpha - e_i) as the closed form at (n - i, l - 1, D / alpha_i):
+    # those are the weight, part count and prod of factorials of the tuple without a part i
+    for n, mult, l, d, c, _ in walk_nodes(10, [1] * 11):
+        for i, m in enumerate(mult, start=1):
+            if m and l > 1:
+                hat = without_part(mult, i)
+                assert (n - i, l - 1, d // m) == (
+                    sum(k * a for k, a in enumerate(hat, start=1)), sum(hat),
+                    prod(map(factorial, hat)))
+                assert _c_closed(n - i, l - 1, d // m) == c_by_recursion(hat)
 
 
 def test_walk_and_removals_build_canonical_partitions():
-    # the walk and remove_part skip Partition's validation: each result must
-    # carry the vector and weight of the validated partition, and that weight
-    def check(alpha, weight):
-        canon = Partition(alpha.mult)
-        assert (alpha.mult, alpha.weight) == (canon.mult, canon.weight) == (canon.mult, weight)
-
+    # both walks skip Partition's validation: each must give the canonical vector of its
+    # weight, and `_strata`'s path its sizes in decreasing order with positive multiplicities
     for n in range(26):
         for alpha in iter_partitions(n):
-            check(alpha, n)
-            for i, m in enumerate(alpha.mult, start=1):
-                if m:
-                    check(remove_part(alpha, i), n - i)
-
-
-def test_num_parts():
-    assert num_parts(Partition(())) == 0
-    assert num_parts(Partition((3,))) == 3
-    assert num_parts(Partition((1, 0, 2))) == 3
+            canon = Partition(alpha.mult)
+            assert (alpha.mult, alpha.weight) == (canon.mult, canon.weight) == (canon.mult, n)
+    for n, l, _, _, _, path in _strata(25, [1] * 26):
+        sizes = [i for i, _ in path]
+        assert sizes == sorted(set(sizes), reverse=True) and all(m > 0 for _, m in path)
+        assert (n, l) == (sum(i * m for i, m in path), sum(m for _, m in path))
+    # the removals of the single-step check are checked in test_remove_part_weight_drops_by_i
 
 
 def test_c_value_base_cases():
@@ -226,10 +223,10 @@ def test_c_value_at_large_weight():
 def test_c_value_satisfies_its_recursion():
     for n in range(2, 12):
         for alpha in enumerate_partitions(n):
-            if num_parts(alpha) == 1:
+            if sum(alpha.mult) == 1:
                 continue
             total = sum(
-                c_value(remove_part(alpha, i))
+                c_value(Partition(without_part(alpha.mult, i)))
                 for i, m in enumerate(alpha.mult, start=1)
                 if m
             )
@@ -240,23 +237,62 @@ def test_single_step_relation_small():
     # c(alpha-hat-i) * n * (parts - 1) = -alpha_i * (n - i) * c(alpha)
     for n in range(2, 9):
         for alpha in enumerate_partitions(n):
-            p = num_parts(alpha)
+            p = sum(alpha.mult)
             if p < 2:
                 continue
             for i, m in enumerate(alpha.mult, start=1):
                 if m:
-                    lhs = c_value(remove_part(alpha, i)) * n * (p - 1)
+                    lhs = c_value(Partition(without_part(alpha.mult, i))) * n * (p - 1)
                     assert lhs == -m * (n - i) * c_value(alpha)
 
 
 def test_weighted_product():
+    # the walk's W is prod_i table[i]^(alpha_i)
     p2 = [1, 1, 3, 6]
-    assert weighted_product(Partition((1, 1)), p2) == 3  # P2(1) * P2(2)
-    assert weighted_product(Partition((3,)), p2) == 1
-    assert weighted_product(Partition((0, 0, 1)), p2) == 6
-    assert weighted_product(Partition(()), p2) == 1
+    weights = {mult: w for _, mult, _, _, _, w in walk_nodes(3, p2)}
+    assert weights == {(1,): 1, (0, 1): 3, (2,): 1, (0, 0, 1): 6, (1, 1): 3, (3,): 1}
+    table = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+    for n, mult, _, _, _, w in walk_nodes(12, table):
+        assert w == prod(table[i] ** m for i, m in enumerate(mult, start=1))
 
 
-def test_weighted_product_missing_entry():
-    with pytest.raises(ValueError):
-        weighted_product(Partition((0, 0, 1)), [1, 1, 3])
+def test_walk_matches_the_oracles_up_to_22():
+    # one walk to 22: at each weight, the partitions of the ascending oracle in the order of
+    # iter_partitions, with c of the signed recursion and the part count and prod of factorials
+    by_weight = {}
+    for n, mult, l, d, c, _ in walk_nodes(22, [1] * 23):
+        by_weight.setdefault(n, []).append(mult)
+        assert (l, d, c) == (sum(mult), prod(map(factorial, mult)), c_by_recursion(mult))
+    assert sorted(by_weight) == list(range(1, 23))
+    for n, mults in by_weight.items():
+        oracle = sorted((tuple(reversed(p)) for p in ascending_part_lists(n)), reverse=True)
+        assert [Partition(m).parts() for m in mults] == oracle
+        assert mults == [a.mult for a in iter_partitions(n)]
+
+
+def test_walk_sums_over_all_weights_equal_the_sums_per_weight():
+    table = product_expansion(lambda k: k, 18)
+    totals = [0] * 19
+    for n, _, _, c, w, _ in _strata(18, table):
+        totals[n] += c * w
+    for n in range(1, 19):
+        alone = sum(c * w for m, _, _, _, c, w in walk_nodes(n, table) if m == n)
+        weighted = sum(c_value(a) * prod(table[i] ** m for i, m in enumerate(a.mult, start=1))
+                       for a in iter_partitions(n))
+        assert totals[n] == alone == weighted
+
+
+def test_walk_visits_each_partition_of_each_weight_once():
+    # the walk's work unit, a node per partition: sum_{n <= N} p(n) nodes, 28,628 at N = 30
+    assert sum(1 for _ in _strata(30, [1] * 31)) == 28_628
+    for top in (0, 1, 2, 7, 15):
+        assert sum(1 for _ in _strata(top, [1] * (top + 1))) == sum(
+            partition_count_oracle(n) for n in range(1, top + 1))
+    # from `least` = N on: the p(N) partitions of N and their parents, the p(N - 1) - 1
+    # partitions of 1..N-1 without a part 1
+    assert sum(1 for _ in _strata(31, [1] * 32, least=31)) == 6_842 + 5_604 - 1
+    for top in (1, 2, 7, 15):
+        nodes = [(n, mult) for n, mult, *_ in walk_nodes(top, [1] * (top + 1), least=top)]
+        assert [m for n, m in nodes if n == top] == [a.mult for a in iter_partitions(top)]
+        assert all(n == top or (n < top and not mult[0]) for n, mult in nodes)
+        assert len(nodes) == partition_count_oracle(top) + partition_count_oracle(top - 1) - 1

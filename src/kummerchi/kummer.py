@@ -355,7 +355,7 @@ def verify_single_step(max_n: int) -> Report:
 def _genus_reports(g: int, max_n: int, enum_cap: int | None = None) -> tuple[Report, Report]:
     """chi-series(g) and first-order(g): the log solve and the stratified sum, each run once."""
     table = partition_count_table(g - 1, max_n, enum_cap=enum_cap)
-    check_enumeration_cap(1, max_n, enum_cap)
+    check_enumeration_cap(1, max_n, enum_cap)  # the d = 1 cap after the table's own, as before
     s = log_coefficients(table)
     strat = [n ** (2 * g - 1) * ns for n, ns in enumerate(_ns_table(max_n, table)) if n]
     series = _Tally("chi-series", g)

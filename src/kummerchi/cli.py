@@ -102,17 +102,19 @@ def _emit(fmt, out, meta, header, rows, text_header=None, cell=str, footer=None)
     """
     if fmt == "json":
         import json
-        scalar = json.JSONEncoder().encode  # the compact encoder, in C
+        other = json.JSONEncoder().encode  # the compact encoder; str, int and bool skip its Python
+        encode = {str: json.encoder.encode_basestring_ascii, int: int.__repr__,
+                  bool: ("false", "true").__getitem__}
         out.write("{\n" + "".join(f"  {_json_field(k, v)},\n" for k, v in sorted(meta.items())))
         # a row holds scalars, so its record is laid out here as `_dump_json` would
         # lay it out, two levels deep, and only the values go through the encoder
         order = sorted(range(len(header)), key=header.__getitem__)
-        names = [f"\n      {scalar(header[i])}: " for i in order]
+        names = [f"\n      {other(header[i])}: " for i in order]
         out.write('  "rows": [')
         sep = "\n    {"
         for row in rows:
-            out.write(sep + ",".join([name + scalar(row[i]) for name, i in zip(names, order)])
-                      + "\n    }")
+            out.write(sep + ",".join([name + encode.get(type(v), other)(v) for name, v
+                                      in zip(names, map(row.__getitem__, order))]) + "\n    }")
             sep = ",\n    {"
         out.write("\n  ]")
     elif fmt == "csv":

@@ -21,20 +21,17 @@ Two encodings are used, one per algorithm:
   order and a predecessor is a subtraction; `enumerate_pd` decodes the
   boxes to tuples.
 
-* nested tuples ("rep") -- a downward-closed subset of N^1 is encoded
-  by its size, an int; one of N^k for k >= 2 by the tuple of its slices
-  {y : (j, y) in I} for j = 0, 1, ..., trailing empty slices trimmed.
-  The slices are again downward closed and weakly decrease under
-  containment, so a d-dimensional partition of n is the rep of its box
-  set, nesting d + 1 levels deep.  `count_pd_table` counts reps layer
-  by layer, every size at once: choose the first slice J inside the
-  current bound and add the counts of the tails bounded by J, shifted
-  by |J|, memoizing each bound's counts by size on the bound alone,
-  clipped to canonical form.  For d >= 3 a bound and its transpose
-  (the first two coordinates swapped) bound equally many chains, so
-  whichever is counted first serves the other's memo miss.  The first
-  slices are streamed, the lower-level slice lists cached; memo and
-  cache hold one dimension, and another d empties them.
+* bitmasks -- an ideal of N^d with at most n cells lies in the staircase
+  {x : prod(x_i + 1) <= n}, as x brings the prod(x_i + 1) cells below it.
+  Ordered by (prod(x_i + 1), x), which extends the coordinatewise order,
+  the cells list every staircase as a prefix; an ideal is the int whose
+  bit i stands for cell i, and its clip to the ideals of at most r cells
+  is one `&`.  The slices of a d-dimensional partition along one axis
+  are nonempty ideals of N^d, weakly decreasing, of total size n.
+  `count_pd_table` counts such chains layer by layer, every size at once:
+  it walks the first slices J inside the current bound, groups them by
+  |J| and clip, and adds each group's counts of the tails inside the
+  clip, memoized by bound; memo and cell table hold one dimension.
 
 Brute-force work is refused beyond a configurable cap on n (see
 `DEFAULT_ENUM_CAPS`) by raising `EnumerationCapError` instead of
@@ -47,6 +44,7 @@ past a fixed cap set by its running time (`_LAYERED_CAPS`).
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from operator import add
 from typing import Iterable, Iterator
 
@@ -72,10 +70,11 @@ _HIGHER_DIM_CAP = 10
 # Caps on n for the layered count that no enum_cap lifts, by d: each was the
 # largest max_n whose count_pd_table, then one count per n, took under a
 # minute of CPU, one more n taking over a minute (2-vCPU host, Python 3.11;
-# d = 2: 57 s at 40, 77 s at 41; d = 3: 46 s at 23, 83 s at 24); the one-pass
-# table takes less.  Time grows with d at fixed n, so a d between two keys
+# d = 2: 57 s at 40, 77 s at 41; d = 3: 46 s at 23, 83 s at 24).  On bitmask
+# ideals the table takes 5.3 s at d = 2, 3.3 s at d = 3, 3.6 s at d = 4 and under
+# 2.5 s at every other cap.  Time grows with d at fixed n, so a d between two keys
 # takes the cap of the next key up and d above the last key is refused at
-# every n >= 1.  Only the recursion limit caps d = 1 (time ~ n^3, 1.2 s at 500).
+# every n >= 1.  Only the recursion limit caps d = 1 (time ~ n^3, 1.5 s at 480).
 _LAYERED_CAPS: dict[int, int] = {2: 40, 3: 23, 4: 18, 5: 15, 6: 13, 7: 12, 8: 11, 9: 10, 10: 10,
                                  12: 9, 14: 8, 16: 7, 20: 7, 24: 6, 30: 5}
 
@@ -173,112 +172,107 @@ def _trusted_pd(dim: int, boxes: frozenset) -> DdPartition:
 
 # --- layered counting recursion ------------------------------------------
 
-def _intersect(d: int, a, b):
-    # slices of the intersection are pairwise intersections; every slice
-    # of a nonempty ideal holds the origin, so none of them is empty
-    if d == 1:
-        return a if a < b else b
-    return tuple([_intersect(d - 1, x, y) for x, y in zip(a, b)])
-
-
-def _clip(d: int, rep, m: int):
-    # intersection with the full ideal of side m: ideals of size <= m
-    # never reach past it, so clipping canonicalizes memo keys
-    if d == 1:
-        return rep if rep < m else m
-    return tuple([_clip(d - 1, sl, m) for sl in rep[:m]])
-
-
-def _fits(rep, m: int) -> bool:
-    # slices shrink, so a rep's extents are those of its first slices
-    while isinstance(rep, tuple) and rep:
-        if len(rep) > m:
-            return False
-        rep = rep[0]
-    return rep == () or rep <= m
-
-
-def _staircase(d: int, n: int):
-    # an ideal holding x holds the prod(x_i + 1) cells y <= x, so every ideal
-    # of <= n cells lies in the staircase {x : prod(x_i + 1) <= n}, whose
-    # slice j is the staircase of n // (j + 1) one dimension down
-    if d == 1:
-        return n
-    return tuple(_staircase(d - 1, n // (j + 1)) for j in range(n))
-
-
-# The layered count's memo, bound -> [c_0, ..., c_m] chain counts by size,
-# its cache of lower-level subideal lists, (ceiling, cap) -> [(rep, size), ...],
-# and one shared copy of each listed pair, for dimension `_memo_dim` only.
-_CHAIN_MEMO: dict[object, list[int]] = {}
-_SLICES: dict[tuple, list] = {}
-_PAIRS: dict[tuple, tuple] = {}
+# The layered count's memo, bound -> [c_0, ..., c_m] chain counts by size, and
+# its cell table, for dimension `_memo_dim` only: `_CELLS[i]` is the cell of
+# bit i, `_STAIR[r]` the cells of weight prod(x_i + 1) <= r and `_SUCCS[i]` the
+# successors of cell i, each with the bits of its predecessors, in increasing order.
+_CHAIN_MEMO: dict[int, list[int]] = {}
+_CELLS: list[tuple[int, ...]] = []
+_STAIR: list[int] = [0]
+_SUCCS: list[list[tuple[int, int]]] = []
 _memo_dim = 0
 
 
-def _lower(level: int, ceiling, cap: int) -> list:
-    """The cached list of `_subideals(level, ceiling, cap)`."""
-    if not _fits(ceiling, cap):  # clipping canonicalizes: many ceilings share a list
-        ceiling = _clip(level, ceiling, cap)
-    found = _SLICES.get((ceiling, cap))
-    if found is None:
-        found = [_PAIRS.setdefault(p, p) for p in _subideals(level, ceiling, cap)]
-        _SLICES[ceiling, cap] = found
-    return found
-
-
-def _subideals(level: int, bound, cap: int) -> Iterator[tuple[object, int]]:
-    """Yield (rep, size) for every nonempty ideal inside `bound` of size <= cap."""
-    if level == 1:
-        yield from ((s, s) for s in range(1, min(bound, cap) + 1))
+def _grow_cells(d: int, n: int) -> None:
+    """Make the cell table hold the cells of N^d of weight <= n; another d empties the memo."""
+    global _memo_dim
+    if d != _memo_dim:
+        _CHAIN_MEMO.clear()
+        _STAIR[:] = [0]
+        _memo_dim = d
+    if n < len(_STAIR):
         return
-    # stack[t]: the choices of slice t (inside slice t - 1 and bound[t])
-    prefix = ()
-    stack = [(iter(_lower(level - 1, bound[0], cap)), 0)] if bound and cap else []
-    while stack:
-        choices, before = stack[-1]
-        for rep, s in choices:
-            t = len(stack)
-            prefix = prefix[: t - 1] + (rep,)
-            size = before + s
-            yield prefix, size
-            if t < len(bound) and size < cap:
-                ceiling = _intersect(level - 1, rep, bound[t])
-                stack.append((iter(_lower(level - 1, ceiling, cap - size)), size))
-                break
-        else:
-            stack.pop()
+    cells = [(1, ())]
+    for _ in range(d):
+        cells = [(w * (a + 1), x + (a,)) for w, x in cells for a in range(n // w)]
+    cells.sort()
+    _CELLS[:] = [x for _, x in cells]
+    index = {x: i for i, x in enumerate(_CELLS)}
+    preds = [sum(1 << index[x[:k] + (x[k] - 1,) + x[k + 1 :]] for k in range(d) if x[k])
+             for x in _CELLS]
+    ups = ((index.get(x[:k] + (x[k] + 1,) + x[k + 1 :]) for k in range(d)) for x in _CELLS)
+    _SUCCS[:] = [sorted((j, preds[j]) for j in js if j is not None) for js in ups]
+    _STAIR[:] = [(1 << bisect_left(cells, (r + 1,))) - 1 for r in range(n + 1)]
 
 
-def _transpose(bound: tuple) -> tuple:
-    # swap the first two coordinates: slice i of the result holds slice i of
-    # each slice of `bound` that has one, and those slices form a prefix
-    rows = len(bound[0]) if bound else 0
-    return tuple(tuple(sl[i] for sl in bound if len(sl) > i) for i in range(rows))
+def _chain_count(bound: int, m: int) -> list[int]:
+    """[c_0, ..., c_m], c_k the chains J_0 >= J_1 >= ... of nonempty ideals in `bound` of size k.
 
-
-def _chain_count(d: int, bound, m: int) -> list[int]:
-    """[c_0, ..., c_m], c_k the weakly decreasing slice tuples inside `bound` of size k.
-
-    Memoized on the bound clipped to m alone: c_k does not depend on m, so a
-    longer stored list serves by its prefix and a shorter one is recounted
-    and replaced; stored lists are never mutated.  For d >= 3 a bound and
-    its transpose bound equally many chains, so a miss takes the transpose's
-    list when it is long enough and stores nothing: tables visit both.
+    The ideals after J_0 hold at most m - |J_0| cells, so J_0 counts as its
+    clip to those; each group of first slices with one size and clip adds
+    the clip's list once, times the group's size.  Memoized on the bound
+    clipped to m alone: c_k does not depend on m, so a longer stored list
+    serves by its prefix and a shorter one is recounted and replaced;
+    stored lists are never mutated.
     """
-    if not _fits(bound, m):
-        bound = _clip(d, bound, m)
+    bound &= _STAIR[m]
     counts = _CHAIN_MEMO.get(bound)
     if counts is None or len(counts) <= m:
-        if d >= 3:
-            counts = _CHAIN_MEMO.get(_transpose(bound))
-            if counts is not None and len(counts) > m:
-                return counts
         counts = [1] + [0] * m
-        for rep, size in _subideals(d, bound, m):  # the top level is streamed
-            counts[size:] = map(add, counts[size:], _chain_count(d, rep, m - size))
+        for size, groups in enumerate(_first_slices(bound, m)):
+            rest = m - size
+            for clip, many in groups.items():
+                child = _CHAIN_MEMO.get(clip)  # a clip is its own memo key, so a hit needs no call
+                if child is None or len(child) <= rest:
+                    child = _chain_count(clip, rest)
+                counts[size:] = map(add, counts[size:], child if many == 1 else
+                                    [many * c for c in child[: rest + 1]])
         _CHAIN_MEMO[bound] = counts
     return counts
+
+
+def _first_slices(bound: int, m: int) -> list[dict[int, int]]:
+    """Per size k, {clip: how many} of the nonempty ideals J in `bound` of k <= m cells.
+
+    Each ideal is made once, its cells added in increasing order; those of m
+    cells all clip to nothing, so they are counted, not visited.
+    """
+    if not (m and bound & 1):
+        return []
+    if m == 1:
+        return [{}, {0: 1}]  # the origin alone
+    stair, succs = _STAIR, _SUCCS
+    groups: list[dict[int, int]] = [{} for _ in range(min(m, bound.bit_count()) + 1)]
+    leaves = 0  # the ideals of m cells
+    # an open ideal, its addable cells above its newest, the next one to add and
+    # its children's size; the stack holds the ancestors with children left
+    stack = []
+    addable, i, ideal, size = [0], 0, 0, 1
+    while stack or i < len(addable):
+        if i == len(addable):
+            addable, i, ideal, size = stack.pop()
+            continue
+        cell = addable[i]
+        i += 1
+        child = ideal | 1 << cell
+        group = groups[size]
+        clip = child & stair[m - size]
+        group[clip] = group.get(clip, 0) + 1
+        nxt = addable[i:]
+        for s, need in succs[cell]:
+            if need & child == need and bound >> s & 1:
+                nxt.append(s)
+        if size + 1 == m:
+            leaves += len(nxt)
+        elif nxt:
+            nxt.sort()
+            if i < len(addable):
+                stack.append((addable, i, ideal, size))
+            addable, i, ideal = nxt, 0, child
+            size += 1
+    if leaves:
+        groups[m][0] = leaves
+    return groups
 
 
 def check_layered_cap(d: int, n: int) -> None:
@@ -300,21 +294,18 @@ def count_pd(d: int, n: int) -> int:
 
 
 def count_pd_table(d: int, max_n: int) -> list[int]:
-    """[P_d(0), ..., P_d(max_n)]: the chains inside `_staircase(d, max_n)`, counted by size.
+    """[P_d(0), ..., P_d(max_n)]: the chains in the staircase of max_n, counted by size.
 
-    No enumeration cap applies.  The recursion is about max_n + d frames
-    deep, so `check_layered_cap` refuses, before any counting, max_n above
-    half of `sys.getrecursionlimit()` and above `_LAYERED_CAPS` for d >= 2;
-    `partition_count_table` serves d <= 2 at larger n.  Tables in one d
-    share `_CHAIN_MEMO`; the caller gets a copy.
+    No enumeration cap applies.  The recursion is about max_n frames deep,
+    so `check_layered_cap` refuses, before any counting, max_n above half of
+    `sys.getrecursionlimit()` and above `_LAYERED_CAPS` for d >= 2, where a
+    table takes at most 5.3 s of CPU; `partition_count_table` serves d <= 2
+    at larger n.  Tables in one d share `_CHAIN_MEMO` and the cell table;
+    the caller gets a copy.
     """
-    global _memo_dim
     check_layered_cap(d, max_n)
-    if d != _memo_dim:
-        for cache in (_CHAIN_MEMO, _SLICES, _PAIRS):
-            cache.clear()
-        _memo_dim = d
-    return _chain_count(d, _staircase(d, max_n), max_n)[: max_n + 1]
+    _grow_cells(d, max_n)
+    return _chain_count(_STAIR[max_n], max_n)[: max_n + 1]
 
 
 # --- canonical-order DFS over box sets ------------------------------------
@@ -351,22 +342,26 @@ def _lex_walk(d: int, n: int) -> Iterator[tuple[set[int], list[int]]]:
         return out
 
     boxes: set[int] = set()
-    root = [0]
-    yield boxes, root
-    # per open ideal: its addable cells, the children left, the cell that made it
-    stack = [(root, enumerate(root), None)] if n > 1 else []
-    while stack:
-        addable, children, _ = stack[-1]
-        for idx, cell in children:
-            boxes.add(cell)
-            nxt = sorted(addable[idx + 1 :] + addable_after(cell))
-            yield boxes, nxt
-            if len(boxes) + 1 < n:
-                stack.append((nxt, enumerate(nxt), cell))
-                break
-            boxes.remove(cell)
+    yield boxes, [0]
+    # the open ideal's addable cells, next child and newest box; the stack holds its ancestors
+    stack: list[tuple[list[int], int, int | None]] = []
+    addable, idx, made = [0] if n > 1 else [], 0, None
+    while stack or idx < len(addable):
+        if idx == len(addable):
+            boxes.discard(made)
+            addable, idx, made = stack.pop()
+            continue
+        cell = addable[idx]
+        idx += 1
+        boxes.add(cell)
+        nxt = addable[idx:] + addable_after(cell)
+        nxt.sort()
+        yield boxes, nxt
+        if len(boxes) + 1 < n:
+            stack.append((addable, idx, made))
+            addable, idx, made = nxt, 0, cell
         else:
-            boxes.discard(stack.pop()[2])
+            boxes.remove(cell)
 
 
 def count_pd_alt_table(d: int, max_n: int, enum_cap: int | None = None) -> list[int]:

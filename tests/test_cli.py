@@ -258,6 +258,19 @@ def test_streamed_json_is_what_json_dumps_writes(capsys, argv):
     assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
+def test_emitted_json_scalars_are_what_json_dumps_writes():
+    # _emit encodes str, int and bool by their type and the rest by the encoder
+    header = ["text", "n", "flag", "other"]
+    rows = [('say "hi"', -7, True, None), ("back\\slash\n", 2**64 + 1, False, 0.5),
+            ("naïve ∑ \u2028 \x00", -(2**70), True, "plain"), ("", 0, False, -3)]
+    meta = {"command": "test", "n": 4}
+    emitted, dumped = io.StringIO(), io.StringIO()
+    cli._emit("json", emitted, meta, header, iter(rows))
+    cli._dump_json({**meta, "rows": [dict(zip(header, row)) for row in rows]}, dumped)
+    assert emitted.getvalue() == dumped.getvalue()
+    assert json.loads(emitted.getvalue())["rows"][1]["n"] == 2**64 + 1
+
+
 def test_failed_identities_render_in_every_format(capsys, monkeypatch):
     reports = [
         Report("sigma2-convolution", 1, ()),

@@ -1,6 +1,9 @@
+import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kummerchi import dd_partitions
 from kummerchi.dd_partitions import (
@@ -152,8 +155,9 @@ def test_table_forms_refuse_and_validate():
 
 def _empty_memo():
     # the state a count in a new dimension starts from
-    for cache in (_CHAIN_MEMO, dd_partitions._SLICES, dd_partitions._PAIRS):
+    for cache in (_CHAIN_MEMO, dd_partitions._CELLS, dd_partitions._SUCCS):
         cache.clear()
+    dd_partitions._STAIR[:] = [0]
     dd_partitions._memo_dim = 0
 
 
@@ -176,19 +180,34 @@ def test_layered_memo_holds_one_dimension():
     assert count_pd(3, 10) == P3_KNOWN[10]
 
 
-def test_layered_memo_shares_a_count_with_the_transpose():
-    # swapping the first two coordinates maps the chains inside a bound onto
-    # those inside its transpose, so a count of either serves both
+def _permuted(bound, sigma):
+    # the bitmask of the cells of `bound` with their coordinates permuted by sigma
+    cells = dd_partitions._CELLS
+    index = {cell: i for i, cell in enumerate(cells)}
+    out = 0
+    for i, cell in enumerate(cells):
+        if bound >> i & 1:
+            out |= 1 << index[tuple(cell[j] for j in sigma)]
+    return out
+
+
+def test_layered_count_is_symmetric_in_the_coordinates():
+    # permuting the coordinates maps the chains inside a bound onto those
+    # inside the permuted bound; a swap and a cycle generate every permutation
     for d, n, known in ((3, 10, P3_KNOWN[10]), (4, 8, count_pd_alt(4, 8))):
         _empty_memo()
         assert count_pd_table(d, n)[n] == known
         stored = dict(_CHAIN_MEMO)
         assert len(stored) > 1
+        swap, cycle = (1, 0, *range(2, d)), (*range(1, d), 0)
+        images = {bound: [_permuted(bound, sigma) for sigma in (swap, cycle)] for bound in stored}
+        assert sum(image != bound for bound in stored for image in images[bound]) > len(stored)
         for bound, counts in stored.items():
-            _empty_memo()
             top = len(counts) - 1
-            transposed = dd_partitions._chain_count(d, dd_partitions._transpose(bound), top)
-            assert transposed[: top + 1] == counts
+            for image in images[bound]:
+                _empty_memo()
+                dd_partitions._grow_cells(d, n)
+                assert dd_partitions._chain_count(image, top)[: top + 1] == counts
     _empty_memo()
 
 
@@ -221,9 +240,35 @@ def test_layered_table_is_a_copy():
         assert count_pd(3, 8) == P3_KNOWN[8]
 
 
+# per d, the largest n drawn below
+_AGREE_TOPS = {1: 18, 2: 12, 3: 10, 4: 8, 5: 7, 6: 6}
+
+
+@functools.cache
+def _dfs_table(d):
+    return count_pd_alt_table(d, _AGREE_TOPS[d], enum_cap=_AGREE_TOPS[d])
+
+
+@st.composite
+def _table_calls(draw):
+    """(d, [n, ...]): tables in one d, in any order, so later ones meet the memo of earlier ones."""
+    d = draw(st.sampled_from(sorted(_AGREE_TOPS)))
+    return d, draw(st.lists(st.integers(0, _AGREE_TOPS[d]), min_size=1, max_size=5))
+
+
+@settings(database=None, deadline=None, max_examples=60)
+@given(_table_calls())
+def test_layered_tables_agree_with_the_dfs_in_any_order(calls):
+    d, tops = calls
+    _empty_memo()
+    for top in tops:
+        assert count_pd_table(d, top) == _dfs_table(d)[: top + 1], (d, tops)
+    _empty_memo()
+
+
 def test_layered_memo_size_at_14():
-    # one list per clipped bound, transposes unstored: 471 entries, where a
-    # memo keyed on (bound, remaining weight) held 2,220
+    # one list per clipped bound: 455 entries, where a memo keyed on
+    # (bound, remaining weight) held 2,220
     _empty_memo()
     assert count_pd_table(3, 14)[12:] == [13426, 27248, 54804]
     assert len(_CHAIN_MEMO) <= 600
@@ -239,7 +284,7 @@ def test_layered_count_refuses_past_its_fixed_caps(monkeypatch):
     def no_counting(*args):
         raise AssertionError("built a bound or counted before refusing")
 
-    monkeypatch.setattr(dd_partitions, "_staircase", no_counting)
+    monkeypatch.setattr(dd_partitions, "_grow_cells", no_counting)
     monkeypatch.setattr(dd_partitions, "_chain_count", no_counting)
     cases = [(d, cap + 1, cap) for d, cap in caps.items()]
     # a d between two keys takes the cap of the next key up; past the last, none

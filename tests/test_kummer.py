@@ -2,6 +2,8 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kummerchi import kummer, partitions
 from kummerchi.dd_partitions import EnumerationCapError, count_pd
@@ -91,6 +93,41 @@ def test_one_walk_gives_every_ns_to_the_cap():
         ns = kummer._ns_table(40, partition_count_table(g - 1, 40))
         assert ns == [0] + [expected(n) for n in range(1, 41)], g
     assert ns_from_c(40, 3) == sigma(2, 40)
+
+
+# sum_{alpha |- n} c(alpha) prod_i t_i^(alpha_i) = n [q^n] log(1 + sum_i t_i q^i) for any
+# integer table; the routes only ever pass t_1 = P_d(1) = 1, so t_1 != 1 is drawn here
+_ENTRY = st.integers(-5, 5) | st.integers(-(10**30), 10**30)
+
+
+@st.composite
+def _tables(draw):
+    """[1, t_1, ..., t_N] with t_1 != 1 and N <= 12."""
+    top = draw(st.integers(1, 12))
+    return [1, draw(_ENTRY.filter(lambda v: v != 1)),
+            *draw(st.lists(_ENTRY, min_size=top - 1, max_size=top - 1))]
+
+
+@settings(database=None, deadline=None, max_examples=150)
+@given(_tables())
+def test_stratified_sum_is_the_logarithm_of_any_table(table):
+    logs = log_coefficients(table)
+    assert kummer._ns_table(len(logs), table) == [0] + [n * s for n, s in enumerate(logs, 1)]
+
+
+@settings(database=None, deadline=None, max_examples=100)
+@given(_tables(), st.integers(-4, 4))
+def test_scaling_q_scales_each_stratified_sum(table, lam):
+    # t_i -> lam^i t_i is q -> lam q, which multiplies n s_n by lam^n
+    top = len(table) - 1
+    scaled = [lam**i * t for i, t in enumerate(table)]
+    expected = [lam**n * v for n, v in enumerate(kummer._ns_table(top, table))]
+    assert kummer._ns_table(top, scaled) == expected
+
+
+def test_stratified_sum_of_log_one_plus_q():
+    # log(1 + q) = sum_n (-1)^(n - 1) q^n / n
+    assert kummer._ns_table(20, [1, 1] + [0] * 19) == [0] + [(-1) ** (n - 1) for n in range(1, 21)]
 
 
 def test_ns_from_c_refuses_a_short_table_before_it_walks(monkeypatch):

@@ -1,4 +1,5 @@
-"""Route 2 and `c-table` hold one partition at a time, not all p(n) of them.
+"""Route 2 and `c-table` hold one partition at a time, not all p(n) of them,
+and the layered count holds ints, not nested tuples, at its caps.
 
 Peaks are measured with `tracemalloc`, so they count Python allocations
 only and do not depend on the interpreter's resident floor.
@@ -10,7 +11,7 @@ import tracemalloc
 
 import pytest
 
-from kummerchi import cli, kummer
+from kummerchi import cli, dd_partitions, kummer
 
 MB = 1 << 20  # MiB
 
@@ -50,3 +51,13 @@ def test_ns_from_c_holds_no_list_of_partitions():
     peak = traced_peak(lambda: values.append(kummer.ns_from_c(40, 2)))
     assert values == [kummer.sigma(1, 40)]
     assert peak < 1 * MB, f"{peak / MB:.2f} MiB"
+
+
+def test_layered_count_at_the_d30_cap_holds_little():
+    # with nested tuples for ideals, the memo and slice caches of (30, 5) peaked
+    # at 76 MiB; as ints over the cells of the staircase, 0.4 MiB
+    dd_partitions._memo_dim = 0  # the next count starts from an empty memo
+    values = []
+    peak = traced_peak(lambda: values.append(dd_partitions.count_pd_table(30, 5)))
+    assert values == [[1, 1, 31, 496, 5921, 60791]]
+    assert peak < 4 * MB, f"{peak / MB:.2f} MiB"

@@ -25,7 +25,7 @@ class Tripped(Exception):
     """A kernel was called: the request got as far as counting."""
 
 
-_KERNELS = ((partitions, "_strata"), (kummer, "product_expansion"), (dd_partitions, "_staircase"),
+_KERNELS = ((partitions, "_strata"), (kummer, "product_expansion"), (dd_partitions, "_grow_cells"),
             (dd_partitions, "_chain_count"), (dd_partitions, "_lex_walk"))
 
 

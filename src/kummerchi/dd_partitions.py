@@ -31,7 +31,7 @@ Two encodings are used, one per algorithm:
   `count_pd_table` counts such chains layer by layer, every size at once:
   it walks the first slices J inside the current bound, groups them by
   |J| and clip, and adds each group's counts of the tails inside the
-  clip, memoized by bound; memo and cell table hold one dimension.
+  clip, memoized by bound; the memo and the cell table live for one call.
 
 Brute-force work is refused beyond a configurable cap on n (see
 `DEFAULT_ENUM_CAPS`) by raising `EnumerationCapError` instead of
@@ -172,66 +172,54 @@ def _trusted_pd(dim: int, boxes: frozenset) -> DdPartition:
 
 # --- layered counting recursion ------------------------------------------
 
-# The layered count's memo, bound -> [c_0, ..., c_m] chain counts by size, and
-# its cell table, for dimension `_memo_dim` only: `_CELLS[i]` is the cell of
-# bit i, `_STAIR[r]` the cells of weight prod(x_i + 1) <= r and `_SUCCS[i]` the
-# successors of cell i, each with the bits of its predecessors, in increasing order.
-_CHAIN_MEMO: dict[int, list[int]] = {}
-_CELLS: list[tuple[int, ...]] = []
-_STAIR: list[int] = [0]
-_SUCCS: list[list[tuple[int, int]]] = []
-_memo_dim = 0
+def _cells(d: int, n: int) -> tuple[list[int], list[list[tuple[int, int]]]]:
+    """(stair, succs) over the cells x of N^d of weight prod(x_i + 1) <= n.
 
-
-def _grow_cells(d: int, n: int) -> None:
-    """Make the cell table hold the cells of N^d of weight <= n; another d empties the memo."""
-    global _memo_dim
-    if d != _memo_dim:
-        _CHAIN_MEMO.clear()
-        _STAIR[:] = [0]
-        _memo_dim = d
-    if n < len(_STAIR):
-        return
+    Bit i stands for cell i in (weight, x) order.  `stair[r]` has the bits of
+    the cells of weight <= r, and `succs[i]` lists the successors of cell i,
+    each with the bits of its predecessors, in increasing order.
+    """
     cells = [(1, ())]
     for _ in range(d):
         cells = [(w * (a + 1), x + (a,)) for w, x in cells for a in range(n // w)]
     cells.sort()
-    _CELLS[:] = [x for _, x in cells]
-    index = {x: i for i, x in enumerate(_CELLS)}
+    index = {x: i for i, (_, x) in enumerate(cells)}
     preds = [sum(1 << index[x[:k] + (x[k] - 1,) + x[k + 1 :]] for k in range(d) if x[k])
-             for x in _CELLS]
-    ups = ((index.get(x[:k] + (x[k] + 1,) + x[k + 1 :]) for k in range(d)) for x in _CELLS)
-    _SUCCS[:] = [sorted((j, preds[j]) for j in js if j is not None) for js in ups]
-    _STAIR[:] = [(1 << bisect_left(cells, (r + 1,))) - 1 for r in range(n + 1)]
+             for _, x in cells]
+    ups = ((index.get(x[:k] + (x[k] + 1,) + x[k + 1 :]) for k in range(d)) for _, x in cells)
+    succs = [sorted((j, preds[j]) for j in js if j is not None) for js in ups]
+    return [(1 << bisect_left(cells, (r + 1,))) - 1 for r in range(n + 1)], succs
 
 
-def _chain_count(bound: int, m: int) -> list[int]:
+def _chain_count(bound: int, m: int, memo: dict[int, list[int]], stair: list[int],
+                 succs: list[list[tuple[int, int]]]) -> list[int]:
     """[c_0, ..., c_m], c_k the chains J_0 >= J_1 >= ... of nonempty ideals in `bound` of size k.
 
     The ideals after J_0 hold at most m - |J_0| cells, so J_0 counts as its
     clip to those; each group of first slices with one size and clip adds
-    the clip's list once, times the group's size.  Memoized on the bound
-    clipped to m alone: c_k does not depend on m, so a longer stored list
-    serves by its prefix and a shorter one is recounted and replaced;
+    the clip's list once, times the group's size.  `memo` maps the bound
+    clipped to m to its list: c_k does not depend on m, so a longer stored
+    list serves by its prefix and a shorter one is recounted and replaced;
     stored lists are never mutated.
     """
-    bound &= _STAIR[m]
-    counts = _CHAIN_MEMO.get(bound)
+    bound &= stair[m]
+    counts = memo.get(bound)
     if counts is None or len(counts) <= m:
         counts = [1] + [0] * m
-        for size, groups in enumerate(_first_slices(bound, m)):
+        for size, groups in enumerate(_first_slices(bound, m, stair, succs)):
             rest = m - size
             for clip, many in groups.items():
-                child = _CHAIN_MEMO.get(clip)  # a clip is its own memo key, so a hit needs no call
+                child = memo.get(clip)  # a clip is its own memo key, so a hit needs no call
                 if child is None or len(child) <= rest:
-                    child = _chain_count(clip, rest)
+                    child = _chain_count(clip, rest, memo, stair, succs)
                 counts[size:] = map(add, counts[size:], child if many == 1 else
                                     [many * c for c in child[: rest + 1]])
-        _CHAIN_MEMO[bound] = counts
+        memo[bound] = counts
     return counts
 
 
-def _first_slices(bound: int, m: int) -> list[dict[int, int]]:
+def _first_slices(bound: int, m: int, stair: list[int],
+                  succs: list[list[tuple[int, int]]]) -> list[dict[int, int]]:
     """Per size k, {clip: how many} of the nonempty ideals J in `bound` of k <= m cells.
 
     Each ideal is made once, its cells added in increasing order; those of m
@@ -241,7 +229,6 @@ def _first_slices(bound: int, m: int) -> list[dict[int, int]]:
         return []
     if m == 1:
         return [{}, {0: 1}]  # the origin alone
-    stair, succs = _STAIR, _SUCCS
     groups: list[dict[int, int]] = [{} for _ in range(min(m, bound.bit_count()) + 1)]
     leaves = 0  # the ideals of m cells
     # an open ideal, its addable cells above its newest, the next one to add and
@@ -296,16 +283,17 @@ def count_pd(d: int, n: int) -> int:
 def count_pd_table(d: int, max_n: int) -> list[int]:
     """[P_d(0), ..., P_d(max_n)]: the chains in the staircase of max_n, counted by size.
 
-    No enumeration cap applies.  The recursion is about max_n frames deep,
-    so `check_layered_cap` refuses, before any counting, max_n above half of
-    `sys.getrecursionlimit()` and above `_LAYERED_CAPS` for d >= 2, where a
-    table takes at most 5.3 s of CPU; `partition_count_table` serves d <= 2
-    at larger n.  Tables in one d share `_CHAIN_MEMO` and the cell table;
-    the caller gets a copy.
+    No enumeration cap applies, and no state outlives the call: the cell
+    table and the memo are built for it and dropped with it.  The count
+    recurses, at most max_n frames deep, so it needs no explicit stack:
+    `check_layered_cap` refuses, before any counting, max_n above
+    `_LAYERED_CAPS` for d >= 2 (all <= 40; a table takes at most 5.3 s of
+    CPU) and above half of `sys.getrecursionlimit()`, which only d = 1
+    reaches; `partition_count_table` serves d <= 2 at larger n.
     """
     check_layered_cap(d, max_n)
-    _grow_cells(d, max_n)
-    return _chain_count(_STAIR[max_n], max_n)[: max_n + 1]
+    stair, succs = _cells(d, max_n)
+    return _chain_count(stair[max_n], max_n, {}, stair, succs)
 
 
 # --- canonical-order DFS over box sets ------------------------------------

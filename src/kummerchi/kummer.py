@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
+from operator import index
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .dd_partitions import (EnumerationCapError, check_enumeration_cap, check_layered_cap,
@@ -56,7 +57,10 @@ __all__ = [
 
 
 def sigma(k: int, n: int) -> int:
-    """Sum of the k-th powers of the divisors of n >= 1, by trial division."""
+    """Sum of the k-th powers of the divisors of n >= 1, k >= 0, by trial division."""
+    k = index(k)  # TypeError on non-integers, so the sum stays an int
+    if k < 0:
+        raise ValueError("sigma takes a nonnegative power k")
     if n < 1:
         raise ValueError("sigma is defined for n >= 1")
     total = 0

@@ -51,24 +51,6 @@ class Partition:
         self.mult: tuple[int, ...] = tuple(vec)
         self.weight: int = sum(map(mul, vec, range(1, len(vec) + 1)))
 
-    @classmethod
-    def from_parts(cls, parts: Iterable[int]) -> "Partition":
-        """Build a partition from an iterable of positive part sizes."""
-        parts = list(map(index, parts))
-        if parts and min(parts) <= 0:
-            raise ValueError("parts must be positive integers")
-        vec = [0] * (max(parts) if parts else 0)
-        for p in parts:
-            vec[p - 1] += 1
-        return cls(vec)
-
-    def parts(self) -> tuple[int, ...]:
-        """The parts as a weakly decreasing tuple, e.g. (2, 1, 1)."""
-        out: list[int] = []
-        for i in range(len(self.mult), 0, -1):
-            out.extend([i] * self.mult[i - 1])
-        return tuple(out)
-
     def label(self) -> str:
         """Multiplicity notation such as ``1^2 3^1``; ``()`` when empty."""
         if not self.mult:

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from kummerchi import dd_partitions
 from kummerchi.dd_partitions import (
-    _CHAIN_MEMO,
     DEFAULT_ENUM_CAPS,
     DdPartition,
     EnumerationCapError,
@@ -134,7 +134,7 @@ def test_dfs_table_against_height_oracle_and_layered_count():
     for d, top in ((1, 8), (2, 7), (3, 6), (4, 4), (5, 3)):
         table = count_pd_alt_table(d, top)
         assert table == [count_heights_oracle(d, n) for n in range(top + 1)]
-        assert table == count_pd_table(d, top)  # one pass, then per n from its memo
+        assert table == count_pd_table(d, top)  # one pass
         assert table == [count_pd(d, n) for n in range(top + 1)]
 
 
@@ -153,36 +153,18 @@ def test_table_forms_refuse_and_validate():
         count_pd_alt_table(2, -1)
 
 
-def _empty_memo():
-    # the state a count in a new dimension starts from
-    for cache in (_CHAIN_MEMO, dd_partitions._CELLS, dd_partitions._SUCCS):
-        cache.clear()
-    dd_partitions._STAIR[:] = [0]
-    dd_partitions._memo_dim = 0
+def _staircase_cells(d, n):
+    # the cells of N^d of weight prod(x_i + 1) <= n, in the bit order the module
+    # documents: by (prod(x_i + 1), x)
+    def weight(x):
+        return math.prod(a + 1 for a in x)
+
+    return sorted((x for x in itertools.product(range(n), repeat=d) if weight(x) <= n),
+                  key=lambda x: (weight(x), x))
 
 
-def test_layered_memo_holds_one_dimension():
-    # kept across tables in one dimension, emptied by a count in another
-    _empty_memo()
-    assert count_pd(3, 9) == P3_KNOWN[9]
-    fresh = len(_CHAIN_MEMO)
-    _empty_memo()
-    assert count_pd_table(3, 10) == P3_KNOWN
-    held = len(_CHAIN_MEMO)
-    assert held > 0
-    assert count_pd_table(3, 10) == P3_KNOWN
-    assert len(_CHAIN_MEMO) == held
-    assert count_pd(3, 9) == P3_KNOWN[9]
-    assert len(_CHAIN_MEMO) - held < fresh
-    held = len(_CHAIN_MEMO)
-    assert count_pd(2, 3) == 6
-    assert 0 < len(_CHAIN_MEMO) < held
-    assert count_pd(3, 10) == P3_KNOWN[10]
-
-
-def _permuted(bound, sigma):
+def _permuted(bound, sigma, cells):
     # the bitmask of the cells of `bound` with their coordinates permuted by sigma
-    cells = dd_partitions._CELLS
     index = {cell: i for i, cell in enumerate(cells)}
     out = 0
     for i, cell in enumerate(cells):
@@ -195,49 +177,64 @@ def test_layered_count_is_symmetric_in_the_coordinates():
     # permuting the coordinates maps the chains inside a bound onto those
     # inside the permuted bound; a swap and a cycle generate every permutation
     for d, n, known in ((3, 10, P3_KNOWN[10]), (4, 8, count_pd_alt(4, 8))):
-        _empty_memo()
-        assert count_pd_table(d, n)[n] == known
-        stored = dict(_CHAIN_MEMO)
+        stair, succs = dd_partitions._cells(d, n)
+        cells = _staircase_cells(d, n)
+        assert stair[n] == (1 << len(cells)) - 1
+        stored = {}
+        assert dd_partitions._chain_count(stair[n], n, stored, stair, succs)[n] == known
         assert len(stored) > 1
         swap, cycle = (1, 0, *range(2, d)), (*range(1, d), 0)
-        images = {bound: [_permuted(bound, sigma) for sigma in (swap, cycle)] for bound in stored}
+        images = {bound: [_permuted(bound, sigma, cells) for sigma in (swap, cycle)]
+                  for bound in stored}
         assert sum(image != bound for bound in stored for image in images[bound]) > len(stored)
         for bound, counts in stored.items():
             top = len(counts) - 1
             for image in images[bound]:
-                _empty_memo()
-                dd_partitions._grow_cells(d, n)
-                assert dd_partitions._chain_count(image, top)[: top + 1] == counts
-    _empty_memo()
+                assert dd_partitions._chain_count(image, top, {}, stair, succs) == counts
+
+
+class _RecordingMemo(dict):
+    """A memo that keeps every list stored in it, with a copy taken when it was stored."""
+
+    def __init__(self):
+        super().__init__()
+        self.stored = []
+
+    def __setitem__(self, bound, counts):
+        self.stored.append((counts, list(counts)))
+        super().__setitem__(bound, counts)
 
 
 def test_one_pass_table_under_both_memo_rules():
-    # a longer stored list serves a smaller table by its prefix
-    _empty_memo()
-    assert count_pd_table(3, 7) == P3_KNOWN[:8]
-    fresh = len(_CHAIN_MEMO)
-    _empty_memo()
-    assert count_pd_table(3, 10) == P3_KNOWN
-    held = len(_CHAIN_MEMO)
-    assert count_pd_table(3, 7) == P3_KNOWN[:8]
-    assert len(_CHAIN_MEMO) - held < fresh
-    # a shorter stored list is recounted to the longer need and replaced
-    _empty_memo()
-    assert count_pd_table(3, 6) == P3_KNOWN[:7]
-    lengths = {bound: len(counts) for bound, counts in _CHAIN_MEMO.items()}
-    assert count_pd_table(3, 10) == P3_KNOWN == count_pd_alt_table(3, 10)
-    assert any(len(_CHAIN_MEMO.get(bound, ())) > k for bound, k in lengths.items())
-    assert [count_pd(3, n) for n in range(11)] == P3_KNOWN
+    stair, succs = dd_partitions._cells(3, 10)
 
+    def chain_count(bound, m, memo):
+        return dd_partitions._chain_count(bound, m, memo, stair, succs)
 
-def test_layered_table_is_a_copy():
-    # the caller gets a copy, never a memo list, so mutating it changes no count
-    _empty_memo()
-    for top in (10, 8, 10):
-        table = count_pd_table(3, top)
-        table[:] = [0] * len(table)
-        assert count_pd_table(3, 10) == P3_KNOWN
-        assert count_pd(3, 8) == P3_KNOWN[8]
+    # the chains in the staircase of 7 of size <= 7 are all solid partitions of those sizes
+    fresh = chain_count(stair[7], 10, {})
+    assert fresh[:8] == P3_KNOWN[:8] and fresh[8:] < P3_KNOWN[8:]
+    # a longer stored list serves by its prefix: the same list, nothing recounted
+    memo = {}
+    longer = chain_count(stair[7], 10, memo)
+    assert longer == fresh
+    held = dict(memo)
+    assert chain_count(stair[7], 7, memo) is longer
+    assert memo == held and all(memo[bound] is counts for bound, counts in held.items())
+    # a shorter stored list is recounted to the longer need and its entry replaced
+    memo = {}
+    shorter = chain_count(stair[6], 6, memo)
+    assert memo[stair[6]] is shorter and len(shorter) == 7
+    recounted = chain_count(stair[6], 10, memo)
+    assert memo[stair[6]] is recounted
+    assert recounted == chain_count(stair[6], 10, {}) and recounted[:7] == shorter
+    # stored lists are never mutated, the replaced ones and the top list included
+    memo = _RecordingMemo()
+    chain_count(stair[6], 6, memo)
+    chain_count(stair[7], 7, memo)
+    assert chain_count(stair[10], 10, memo) == P3_KNOWN == count_pd_alt_table(3, 10)
+    assert len(memo.stored) > len(memo)
+    assert all(counts == copy for counts, copy in memo.stored)
 
 
 # per d, the largest n drawn below
@@ -251,27 +248,27 @@ def _dfs_table(d):
 
 @st.composite
 def _table_calls(draw):
-    """(d, [n, ...]): tables in one d, in any order, so later ones meet the memo of earlier ones."""
+    """(d, [n, ...]): several tables in one d."""
     d = draw(st.sampled_from(sorted(_AGREE_TOPS)))
     return d, draw(st.lists(st.integers(0, _AGREE_TOPS[d]), min_size=1, max_size=5))
 
 
 @settings(database=None, deadline=None, max_examples=60)
 @given(_table_calls())
-def test_layered_tables_agree_with_the_dfs_in_any_order(calls):
+def test_layered_tables_agree_with_the_dfs(calls):
     d, tops = calls
-    _empty_memo()
     for top in tops:
         assert count_pd_table(d, top) == _dfs_table(d)[: top + 1], (d, tops)
-    _empty_memo()
 
 
 def test_layered_memo_size_at_14():
     # one list per clipped bound: 455 entries, where a memo keyed on
     # (bound, remaining weight) held 2,220
-    _empty_memo()
-    assert count_pd_table(3, 14)[12:] == [13426, 27248, 54804]
-    assert len(_CHAIN_MEMO) <= 600
+    stair, succs = dd_partitions._cells(3, 14)
+    memo = {}
+    table = dd_partitions._chain_count(stair[14], 14, memo, stair, succs)
+    assert table[12:] == [13426, 27248, 54804]
+    assert len(memo) <= 600
 
 
 def test_layered_count_refuses_past_its_fixed_caps(monkeypatch):
@@ -284,7 +281,7 @@ def test_layered_count_refuses_past_its_fixed_caps(monkeypatch):
     def no_counting(*args):
         raise AssertionError("built a bound or counted before refusing")
 
-    monkeypatch.setattr(dd_partitions, "_grow_cells", no_counting)
+    monkeypatch.setattr(dd_partitions, "_cells", no_counting)
     monkeypatch.setattr(dd_partitions, "_chain_count", no_counting)
     cases = [(d, cap + 1, cap) for d, cap in caps.items()]
     # a d between two keys takes the cap of the next key up; past the last, none
@@ -382,11 +379,15 @@ def test_cap_does_not_gate_count_pd():
     assert count_pd(2, 20) == product_expansion(lambda k: k, 20)[20]
 
 
-def test_count_pd_refuses_past_recursion_depth():
+def test_count_pd_refuses_past_recursion_depth(monkeypatch):
     # count_pd(1, 1200) used to die with RecursionError deep in the count
-    entries = len(_CHAIN_MEMO)
-    with pytest.raises(EnumerationCapError, match="^counting .* partition_count_table") as info:
-        count_pd(1, 1200)
+    def no_counting(*args):
+        raise AssertionError("built a bound or counted before refusing")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dd_partitions, "_cells", no_counting)
+        patch.setattr(dd_partitions, "_chain_count", no_counting)
+        with pytest.raises(EnumerationCapError, match="^counting .* partition_count_table") as info:
+            count_pd(1, 1200)
     assert (info.value.d, info.value.n) == (1, 1200)
-    assert len(_CHAIN_MEMO) == entries  # refused before counting
     assert count_pd(1, 200) == partition_count_table(1, 200)[200]

@@ -42,6 +42,16 @@ def test_sigma_examples():
         sigma(2, 0)
 
 
+def test_sigma_takes_nonnegative_integer_powers_only():
+    # sigma(-1, 6) was 2.0 and sigma(2.0, 4) was 21.0: floats out of an integer function
+    with pytest.raises(ValueError, match="nonnegative"):
+        sigma(-1, 6)
+    for k in (2.0, 0.5, "2"):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            sigma(k, 4)
+    assert type(sigma(True, 4)) is int and sigma(True, 4) == 7  # bool is an int
+
+
 def test_sigma_against_naive_divisor_sum():
     for n in range(1, 60):
         for k in (0, 1, 2, 3):

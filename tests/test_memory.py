@@ -1,10 +1,13 @@
 """Route 2 and `c-table` hold one partition at a time, not all p(n) of them,
-and the layered count holds ints, not nested tuples, at its caps.
+and the layered count holds ints, not nested tuples, at its caps, and
+nothing once it returns.
 
-Peaks are measured with `tracemalloc`, so they count Python allocations
-only and do not depend on the interpreter's resident floor.
+Peaks, and what a call leaves behind, are measured with `tracemalloc`, so
+they count Python allocations only and do not depend on the interpreter's
+resident floor.
 """
 
+import gc
 import io
 import sys
 import tracemalloc
@@ -56,8 +59,20 @@ def test_ns_from_c_holds_no_list_of_partitions():
 def test_layered_count_at_the_d30_cap_holds_little():
     # with nested tuples for ideals, the memo and slice caches of (30, 5) peaked
     # at 76 MiB; as ints over the cells of the staircase, 0.4 MiB
-    dd_partitions._memo_dim = 0  # the next count starts from an empty memo
     values = []
     peak = traced_peak(lambda: values.append(dd_partitions.count_pd_table(30, 5)))
     assert values == [[1, 1, 31, 496, 5921, 60791]]
     assert peak < 4 * MB, f"{peak / MB:.2f} MiB"
+
+
+def test_layered_count_keeps_nothing_after_it_returns():
+    # the memo and the cell table live for one call; kept in module globals until
+    # a count in another d, they held 459 KiB after this table
+    tracemalloc.start()
+    try:
+        assert dd_partitions.count_pd_table(3, 18)[18] == 805124
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 16 * 1024, f"{held / 1024:.1f} KiB"

@@ -25,7 +25,7 @@ class Tripped(Exception):
     """A kernel was called: the request got as far as counting."""
 
 
-_KERNELS = ((partitions, "_strata"), (kummer, "product_expansion"), (dd_partitions, "_grow_cells"),
+_KERNELS = ((partitions, "_strata"), (kummer, "product_expansion"), (dd_partitions, "_cells"),
             (dd_partitions, "_chain_count"), (dd_partitions, "_lex_walk"))
 
 

@@ -47,18 +47,21 @@ _ENUM_CAP_HELP = (
 )
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+def _int_at_least(least: int, wording: str):
+    """An argparse type for the integers >= least, whose every refusal says `wording`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:  # refused below: for a ValueError argparse prints this function's name
+            value = least - 1
+        if value < least:
+            raise argparse.ArgumentTypeError(wording)
+        return value
+    return parse
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be nonnegative")
-    return value
+_positive_int = _int_at_least(1, "must be a positive integer")
+_nonnegative_int = _int_at_least(0, "must be nonnegative")
 
 
 def _genus_list(text: str) -> list[int]:
@@ -202,22 +205,22 @@ def cmd_verify(args, out=None) -> int:
     if args.format == "text":
         for r in reports:
             print(f"{'PASS' if r.passed else 'FAIL'}  {r.name}  ({r.count} checks)", file=out)
-            for c in r.failures():
+            for c in r.failed:
                 where = f"n={c.n}" + (f" g={c.g}" if c.g is not None else "")
                 extra = f" [{c.detail}]" if c.detail else ""
                 print(f"      {where}{extra}: {c.lhs} != {c.rhs}", file=out)
         verdict = "all identities hold" if passed else "FAILURES above"
         print(f"{verdict} (max_n={args.max_n}, genus={','.join(map(str, args.genus))})", file=out)
     elif args.format == "json":
-        records = [{"name": r.name, "checks": r.count, "failed": len(r.failures()),
-                    "passed": r.passed, "failures": [c._asdict() for c in r.failures()]}
+        records = [{"name": r.name, "checks": r.count, "failed": len(r.failed),
+                    "passed": r.passed, "failures": [c._asdict() for c in r.failed]}
                    for r in reports]
         _dump_json({"command": "verify", "max_n": args.max_n, "genus": args.genus,
                     "passed": passed, "reports": records}, out)
     else:
-        summary = [[r.name, r.count, len(r.failures()), r.passed] for r in reports]
+        summary = [[r.name, r.count, len(r.failed), r.passed] for r in reports]
         failures = [["FAILURE", c.identity, "" if c.g is None else c.g, c.n, c.detail, c.lhs,
-                     c.rhs] for r in reports for c in r.failures()]
+                     c.rhs] for r in reports for c in r.failed]
         _emit("csv", out, {}, ["name", "checks", "failed", "passed"], summary + failures)
     return EXIT_OK if passed else EXIT_IDENTITY_FAILURE
 

@@ -17,11 +17,12 @@ Euler characteristic is computed here along three independent routes:
 
 The verify_* functions check that the routes agree, coefficient by
 coefficient with exact arithmetic.  Each returns a report, shared by
-the CLI and the tests, that keeps the number of checks run and only
-the failed ones.  A failed check is data, not an exception; caps on
-brute-force enumeration do raise (`EnumerationCapError`), so resource
-refusal is never conflated with a failed identity; and every refusal,
-`run_all_verifiers`'s for all its tables included, comes before any counting.
+the CLI and the tests, that keeps the number of checks run and a record
+of each failed one, built only where a comparison fails.  A failed check
+is data, not an exception; caps on brute-force enumeration do raise
+(`EnumerationCapError`), so resource refusal is never conflated with a
+failed identity; and every refusal, `run_all_verifiers`'s for all its
+tables included, comes before any counting.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 from operator import index
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .dd_partitions import (EnumerationCapError, check_enumeration_cap, check_layered_cap,
                             count_pd_alt_table, count_pd_table, enumeration_cap)
@@ -251,29 +252,12 @@ class Check(NamedTuple):
     detail: str = ""
 
 
-class Report:
-    """What one verifier checked: how many instances, and each one that failed.
+class Report(NamedTuple):
+    """What one verifier checked: how many instances, and each one that failed."""
 
-    A plain class, not a tuple, so that `count` is the number of checks
-    and never `tuple.count`.
-    """
-
-    __slots__ = ("name", "count", "failed")
-
-    def __init__(self, name: str, count: int, failed: tuple[Check, ...]):
-        self.name, self.count, self.failed = name, count, failed
-
-    def _fields(self) -> tuple:
-        return self.name, self.count, self.failed
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Report) and self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return "Report(name={!r}, count={!r}, failed={!r})".format(*self._fields())
+    name: str
+    count: int
+    failed: tuple[Check, ...]
 
     @property
     def passed(self) -> bool:
@@ -284,17 +268,14 @@ class Report:
 
 
 class _Tally:
-    """Counts the checks of one verifier and keeps a `Check` for each failure."""
+    """One verifier's checks: `count`, which it adds to in bulk, and a `Check` per `fail`."""
 
     def __init__(self, identity: str, g: int | None = None):
         self.identity, self.g, self.count, self.failed = identity, g, 0, []
 
-    def __call__(self, ok: bool, n: int, record: Callable[[], tuple]) -> None:
-        """Count one check; if it failed, keep it, with `record()` giving (lhs, rhs, detail)."""
-        self.count += 1
-        if not ok:
-            lhs, rhs, detail = record()
-            self.failed.append(Check(self.identity, n, False, str(lhs), str(rhs), self.g, detail))
+    def fail(self, n: int, lhs, rhs, detail: str = "") -> None:
+        """Keep one failed check, both sides as strings."""
+        self.failed.append(Check(self.identity, n, False, str(lhs), str(rhs), self.g, detail))
 
     def report(self) -> Report:
         """The report, named by the identity and, if set, the genus."""
@@ -306,10 +287,12 @@ def verify_sigma2_convolution(max_n: int) -> Report:
     """n * P_2(n) = sum_{k=1..n} sigma_2(k) * P_2(n-k), P_2 from the product expansion."""
     p2 = partition_count_table(2, max_n)
     tally = _Tally("sigma2-convolution")
+    tally.count = max_n
     for n in range(1, max_n + 1):
         lhs = n * p2[n]
         rhs = sum(sigma(2, k) * p2[n - k] for k in range(1, n + 1))
-        tally(lhs == rhs, n, lambda: (lhs, rhs, ""))
+        if lhs != rhs:
+            tally.fail(n, lhs, rhs)
     return tally.report()
 
 
@@ -337,21 +320,22 @@ def verify_single_step(max_n: int) -> Report:
     for n, p, d, ca, _, path in partitions._strata(max_n, [1] * (max_n + 1)):
         if p < 2:
             continue
+        tally.count += 2 * len(path) + 1  # two checks per distinct size i, and the closure
         removed_total = 0
         for i, m in reversed(path):
             chat = c_closed(n - i, p - 1, d // m)
             removed_total += chat
             lhs = chat * n * (p - 1)
             rhs = -m * (n - i) * ca
-            tally(lhs == rhs, n, lambda: (lhs, rhs, f"alpha={label()} i={i}"))
+            if lhs != rhs:
+                tally.fail(n, lhs, rhs, f"alpha={label()} i={i}")
             # (n-i)^5 chat = -m (n-i)^6 / (n^6 (p-1)) * n^5 ca, times n^6 (p-1) > 0
-            fibres = (n - i) ** 5 * chat * n**6 * (p - 1) == -m * (n - i) ** 6 * n**5 * ca
-            tally(fibres, n, lambda: (
-                Fraction((n - i) ** 5 * chat),
-                Fraction(-m * (n - i) ** 6, n**6 * (p - 1)) * (n**5 * ca),
-                f"alpha={label()} i={i} g3-fibres"))
-        tally(removed_total == -ca, n,
-              lambda: (removed_total, -ca, f"alpha={label()} closure"))
+            if (n - i) ** 5 * chat * n**6 * (p - 1) != -m * (n - i) ** 6 * n**5 * ca:
+                tally.fail(n, Fraction((n - i) ** 5 * chat),
+                           Fraction(-m * (n - i) ** 6, n**6 * (p - 1)) * (n**5 * ca),
+                           f"alpha={label()} i={i} g3-fibres")
+        if removed_total != -ca:
+            tally.fail(n, removed_total, -ca, f"alpha={label()} closure")
     tally.failed.sort(key=lambda check: check.n)  # stable: each n keeps the walk's order
     return tally.report()
 
@@ -363,22 +347,25 @@ def _genus_reports(g: int, max_n: int, enum_cap: int | None = None) -> tuple[Rep
     s = log_coefficients(table)
     strat = [n ** (2 * g - 1) * ns for n, ns in enumerate(_ns_table(max_n, table)) if n]
     series = _Tally("chi-series", g)
+    series.count = (3 if g == 3 else 2) * max_n
     for n, s_n, chi in zip(range(1, max_n + 1), s, strat):
         val = n ** (2 * g) * s_n
-        series(val == chi, n, lambda: (val, chi, "stratified"))
-        series(val.denominator == 1 and val > 0, n,
-               lambda: (val, "a positive integer", "integrality"))
-        if g == 3:
-            closed = chi_kummer_closed(n)
-            series(val == closed, n, lambda: (val, closed, "closed-form"))
+        if val != chi:
+            series.fail(n, val, chi, "stratified")
+        if val.denominator != 1 or val <= 0:
+            series.fail(n, val, "a positive integer", "integrality")
+        if g == 3 and val != (closed := chi_kummer_closed(n)):
+            series.fail(n, val, closed, "closed-form")
     # exp(a + eps*b) = exp(a) * (1 + eps*b), here with a = 0 and b = log of the table
     real = TruncatedSeries.zero(max_n).exp()
     eps = real * TruncatedSeries([0, *s])
     lhs_eps = [0] + [Fraction(chi, n ** (2 * g)) for n, chi in enumerate(strat, start=1)]
     first = _Tally("first-order", g)
+    first.count = max_n + 1
     for n in range(max_n + 1):
         left, right = (int(n == 0), lhs_eps[n]), (real[n], eps[n])
-        first(left == right, n, lambda: ("%s + eps*%s" % left, "%s + eps*%s" % right, ""))
+        if left != right:
+            first.fail(n, "%s + eps*%s" % left, "%s + eps*%s" % right)
     return series.report(), first.report()
 
 

@@ -219,6 +219,24 @@ def test_parser_rejects_bad_arguments():
             parser.parse_args(argv)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["table", "--max-n", "x"], "argument --max-n: must be a positive integer"),
+    (["pd", "--max-n", "1.5"], "argument --max-n: must be nonnegative"),
+    (["pd", "--max-n", "-1"], "argument --max-n: must be nonnegative"),
+    (["pd", "--dim", "two"], "argument --dim: must be a positive integer"),
+    (["verify", "--enum-cap", "1e3"], "argument --enum-cap: must be a positive integer"),
+    (["verify", "--enum-cap", "0"], "argument --enum-cap: must be a positive integer"),
+])
+def test_argument_errors_name_the_range(capsys, argv, message):
+    # argparse names the type function of a ValueError; these errors name the range instead
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exit_info.value.code == 2
+    assert err.endswith(f"error: {message}\n")
+    assert "_positive_int" not in err and "_nonnegative_int" not in err
+
+
 def test_output_is_deterministic(capsys):
     first = run_cli(capsys, "verify", "--max-n", "7", "--genus", "1,2,3", "--format", "json")
     second = run_cli(capsys, "verify", "--max-n", "7", "--genus", "1,2,3", "--format", "json")

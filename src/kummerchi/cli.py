@@ -25,14 +25,8 @@ import sys
 
 from . import __version__, partitions
 from .dd_partitions import (DEFAULT_ENUM_CAPS, EnumerationCapError, check_enumeration_cap,
-                            enumeration_cap)
-from .kummer import (
-    kummer_rows,
-    partition_count_rows,
-    partition_count_table,
-    run_all_verifiers,
-    sigma,
-)
+                            enumeration_cap, partition_count_rows, partition_count_table)
+from .kummer import kummer_rows, run_all_verifiers, sigma
 
 EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1

@@ -33,33 +33,37 @@ Two encodings are used, one per algorithm:
   |J| and clip, and adds each group's counts of the tails inside the
   clip, memoized by bound; the memo and the cell table live for one call.
 
-Brute-force work is refused beyond a configurable cap on n (see
-`DEFAULT_ENUM_CAPS`) by raising `EnumerationCapError` instead of
-starting a search that cannot finish at a desk.  The layered count has
-no such cap, but `check_layered_cap` refuses it, before counting, past
-half the recursion limit (it recurses once per unit of n) and for d >= 2
-past a fixed cap set by its running time (`_LAYERED_CAPS`).
+This module owns every P_d table, with its route, DFS check and caps:
+`partition_count_table` serves the Kummer routes and `partition_count_rows`
+the `pd` command, from ones (d = 0), Euler's and MacMahon's products
+(d = 1, 2) or the layered count.  Each refuses before any counting with an
+`EnumerationCapError`: DFS work past a configurable cap on n
+(`DEFAULT_ENUM_CAPS`), the products past `_PRODUCT_CAP`, and the layered
+count past half the recursion limit and, for d >= 2, past `_LAYERED_CAPS`.
 """
 
 from __future__ import annotations
 
 import sys
 from bisect import bisect_left
-from operator import add
+from operator import add, index
 from typing import Iterable, Iterator
+
+from .series import product_expansion
 
 __all__ = [
     "DEFAULT_ENUM_CAPS",
     "DdPartition",
     "EnumerationCapError",
     "check_enumeration_cap",
-    "check_layered_cap",
     "count_pd",
     "count_pd_alt",
     "count_pd_alt_table",
     "count_pd_table",
     "enumerate_pd",
     "enumeration_cap",
+    "partition_count_rows",
+    "partition_count_table",
 ]
 
 # Default upper bounds on n for the enumeration-backed routines.  The
@@ -78,6 +82,14 @@ _HIGHER_DIM_CAP = 10
 # caps d = 1 (time ~ n^3, 1.5 s at 480).
 _LAYERED_CAPS: dict[int, int] = {2: 40, 3: 23, 4: 18, 5: 15, 6: 13, 7: 12, 8: 11, 9: 10, 10: 10,
                                  12: 9, 14: 8, 16: 7, 20: 7, 24: 6, 30: 5}
+# Cap on max_n for the product expansions (d = 1, 2) that no enum_cap lifts:
+# the largest multiple of 500 whose `table --max-n N` took under about a
+# minute of CPU, the next one taking over a minute (2-vCPU host, Python 3.11;
+# 40 s at 5000, 53 s at 6000, 67 s at 6500, 87 s at 7000).  The kernel that adds
+# a slice at a time takes 31 s of CPU for `table --max-n 6000`, where the
+# per-coefficient loop before it took 60 s on the same host; the cap waits for a
+# calibration by work budget rather than being re-set by hand.
+_PRODUCT_CAP = 6000
 
 
 class EnumerationCapError(RuntimeError):
@@ -263,7 +275,7 @@ def _first_slices(bound: int, m: int, stair: list[int],
     return groups
 
 
-def check_layered_cap(d: int, n: int) -> None:
+def _check_layered_cap(d: int, n: int) -> None:
     """Raise the `EnumerationCapError` that `count_pd(d, n)` would, without counting."""
     _validate_dn(d, n)
     if d > 1:  # below the depth cap at the default recursion limit, so named first
@@ -286,13 +298,14 @@ def count_pd_table(d: int, max_n: int) -> list[int]:
 
     No enumeration cap applies, and no state outlives the call: the cell
     table and the memo are built for it and dropped with it.  The count
-    recurses, at most max_n frames deep, so it needs no explicit stack:
-    `check_layered_cap` refuses, before any counting, max_n above
-    `_LAYERED_CAPS` for d >= 2 (all <= 40; a table takes at most 5.3 s of
-    CPU) and above half of `sys.getrecursionlimit()`, which only d = 1
-    reaches; `partition_count_table` serves d <= 2 at larger n.
+    recurses, at most max_n frames deep: `_check_layered_cap` refuses,
+    before any counting, max_n above `_LAYERED_CAPS` for d >= 2 (a table
+    takes at most 5.3 s of CPU) and above half of `sys.getrecursionlimit()`,
+    which only d = 1 reaches.  `partition_count_table` takes d <= 2 from the
+    products, so tables of d <= 2 here serve library callers and acceptance
+    criterion 5, where the layered count is the third plane-partition count.
     """
-    check_layered_cap(d, max_n)
+    _check_layered_cap(d, max_n)
     stair, succs = _cells(d, max_n)
     return _chain_count(stair[max_n], max_n, {}, stair, succs)
 
@@ -397,3 +410,63 @@ def enumerate_pd(d: int, n: int, enum_cap: int | None = None) -> Iterator[DdPart
             stem = frozenset(map(box, boxes))
             for cell in addable:
                 yield _trusted_pd(d, stem.union((box(cell),)))
+
+
+# --- P_d tables: the route, its DFS check and every refusal ---------------
+
+def _refuse_pd(d: int, max_n: int, top: int, enum_cap: int | None) -> None:
+    """Check `_pd_table`'s arguments, then refuse: the enumeration cap on `top`, the route's."""
+    if index(d) < 0:  # TypeError on non-integers, which would take the route of another d
+        raise ValueError("d must be nonnegative")
+    if max_n < 0:
+        raise ValueError("max_n must be nonnegative")
+    check_enumeration_cap(d, top, enum_cap)
+    if d >= 3:
+        _check_layered_cap(d, max_n)
+    elif d >= 1 and max_n > _PRODUCT_CAP:
+        raise EnumerationCapError(d, max_n, _PRODUCT_CAP,
+                                  "the running time of the product expansion")
+
+
+def _pd_table(d: int, max_n: int, top: int, enum_cap: int | None) -> list[int]:
+    """[P_d(0), ..., P_d(max_n)] by d's route, DFS-checked to `top` (-1: none), once refused."""
+    d = index(d)
+    if d >= 3:
+        values = count_pd_table(d, max_n)
+    elif d:
+        values = product_expansion((lambda k: 1) if d == 1 else (lambda k: k), max_n)
+    else:
+        values = [1] * (max_n + 1)
+    for n, alt in enumerate(count_pd_alt_table(d, top, enum_cap) if top >= 0 else []):
+        if alt != values[n]:
+            route = "product" if d <= 2 else "layered"
+            raise ArithmeticError(f"P_{d}({n}): {route} gives {values[n]}, DFS gives {alt}")
+    return values
+
+
+def _refuse_table(d: int, max_n: int, enum_cap: int | None = None) -> int:
+    """Refuse `partition_count_table(d, max_n, enum_cap)` before counting, or give its `top`."""
+    top = max_n if d >= 3 else -1  # the DFS checks every layered count and no product
+    _refuse_pd(d, max_n, top, enum_cap)
+    return top
+
+
+def partition_count_table(d: int, max_n: int, enum_cap: int | None = None) -> list[int]:
+    """[P_d(0), ..., P_d(max_n)] for d >= 0, the table the Kummer routes read; P_0(n) = 1."""
+    return _pd_table(d, max_n, _refuse_table(d, max_n, enum_cap), enum_cap)
+
+
+def partition_count_rows(d: int, max_n: int,
+                         enum_cap: int | None = None) -> list[tuple[int, int, bool]]:
+    """(n, P_d(n), cross-checked) for n = 0..max_n, d >= 1: the rows `pd` prints.
+
+    Same routes as `partition_count_table`; `top`, the largest n the DFS
+    checks, is max_n clipped to the cap for d <= 3, the rows above it
+    unchecked, and max_n for d >= 4, which has no product formula.
+    """
+    if d < 1:
+        raise ValueError("d must be a positive integer")
+    cap = enum_cap if enum_cap is not None else enumeration_cap(d)
+    top = max_n if d >= 4 else min(max_n, cap)
+    _refuse_pd(d, max_n, top, enum_cap)
+    return [(n, value, n <= top) for n, value in enumerate(_pd_table(d, max_n, top, enum_cap))]

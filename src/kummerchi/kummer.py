@@ -15,14 +15,14 @@ Euler characteristic is computed here along three independent routes:
 * the logarithm, any g:  chi(K^n) = n^(2g) * s_n, with s_n the
   logarithmic coefficients of sum_n P_{g-1}(n) q^n.
 
-The verify_* functions check that the routes agree, coefficient by
-coefficient with exact arithmetic.  Each returns a report, shared by
-the CLI and the tests, that keeps the number of checks run and a record
-of each failed one, built only where a comparison fails.  A failed check
-is data, not an exception; caps on brute-force enumeration do raise
-(`EnumerationCapError`), so resource refusal is never conflated with a
-failed identity; and every refusal, `run_all_verifiers`'s for all its
-tables included, comes before any counting.
+Both routes read one P_{g-1} table from `dd_partitions`, which owns its
+route, its DFS check and every cap on it.  The verify_* functions check
+that the routes agree, coefficient by coefficient with exact arithmetic.
+Each returns a report, shared by the CLI and the tests, that keeps the
+number of checks run and a record of each one that fails.  A failed
+check is data, not an exception; a cap raises `EnumerationCapError`, so
+a refusal is never conflated with a failed identity, and every refusal,
+`run_all_verifiers`'s for all its tables included, comes before counting.
 """
 
 from __future__ import annotations
@@ -32,10 +32,9 @@ from math import isqrt
 from operator import index
 from typing import Iterable, NamedTuple, Sequence
 
-from .dd_partitions import (EnumerationCapError, check_enumeration_cap, check_layered_cap,
-                            count_pd_alt_table, count_pd_table, enumeration_cap)
-from . import partitions
-from .series import log_coefficients, product_expansion
+from . import dd_partitions, partitions
+from .dd_partitions import check_enumeration_cap, partition_count_table
+from .series import log_coefficients
 
 __all__ = [
     "sigma",
@@ -43,8 +42,6 @@ __all__ = [
     "chi_kummer_stratified",
     "dt_invariant",
     "ns_from_c",
-    "partition_count_table",
-    "partition_count_rows",
     "KummerRow",
     "kummer_rows",
     "Check",
@@ -81,75 +78,10 @@ def chi_kummer_closed(n: int) -> int:
     return n**5 * sigma(2, n)
 
 
-# Cap on max_n for the product expansions (d = 1, 2) that no enum_cap lifts:
-# the largest multiple of 500 whose `table --max-n N` took under about a
-# minute of CPU, the next one taking over a minute (2-vCPU host, Python 3.11;
-# 40 s at 5000, 53 s at 6000, 67 s at 6500, 87 s at 7000).  The kernel that adds
-# a slice at a time takes 31 s of CPU for `table --max-n 6000`, where the
-# per-coefficient loop before it took 60 s on the same host; the cap waits for a
-# calibration by work budget rather than being re-set by hand.
-_PRODUCT_CAP = 6000
-
-
-def _refuse_pd(d: int, max_n: int, top: int, enum_cap: int | None) -> None:
-    """Every refusal of `_pd_table`: the enumeration cap on `top`, then the route's fixed cap."""
-    check_enumeration_cap(d, top, enum_cap)
-    if d >= 3:
-        check_layered_cap(d, max_n)
-    elif d >= 1 and max_n > _PRODUCT_CAP:
-        raise EnumerationCapError(d, max_n, _PRODUCT_CAP,
-                                  "the running time of the product expansion")
-
-
-def _pd_table(d: int, max_n: int, top: int, enum_cap: int | None) -> list[int]:
-    """[P_d(0), ..., P_d(max_n)], DFS-checked to `top`, the largest n to check (-1: none).
-
-    Every refusal comes first (`_refuse_pd`), then the route for d, then one DFS to `top`.
-    """
-    _refuse_pd(d, max_n, top, enum_cap)
-    if d >= 3:
-        values = count_pd_table(d, max_n)
-    elif d:
-        values = product_expansion((lambda k: 1) if d == 1 else (lambda k: k), max_n)
-    else:
-        values = [1] * (max_n + 1)
-    for n, alt in enumerate(count_pd_alt_table(d, top, enum_cap) if top >= 0 else []):
-        if alt != values[n]:
-            route = "product" if d <= 2 else "layered"
-            raise ArithmeticError(f"P_{d}({n}): {route} gives {values[n]}, DFS gives {alt}")
-    return values
-
-
-def partition_count_table(d: int, max_n: int, enum_cap: int | None = None) -> list[int]:
-    """[P_d(0), ..., P_d(max_n)] for d >= 0; P_0(n) = 1 for all n.
-
-    `top`, the largest n the DFS checks, is -1 (none) for d <= 2, whose
-    Euler and MacMahon products go unchecked, and max_n for d >= 3, which
-    the layered recursion counts, so it is subject to the enumeration cap.
-    """
-    if d < 0:
-        raise ValueError("d must be nonnegative")
-    if max_n < 0:
-        raise ValueError("max_n must be nonnegative")
-    return _pd_table(d, max_n, max_n if d >= 3 else -1, enum_cap)
-
-
-def partition_count_rows(
-    d: int, max_n: int, enum_cap: int | None = None
-) -> list[tuple[int, int, bool]]:
-    """(n, P_d(n), cross-checked) for n = 0..max_n, d >= 1: the rows `pd` prints.
-
-    Same routes as `partition_count_table`; `top`, the largest n the DFS
-    checks, is max_n clipped to the cap for d <= 3, the rows above it
-    unchecked, and max_n for d >= 4, which has no product formula.
-    """
-    if d < 1:
-        raise ValueError("d must be a positive integer")
-    if max_n < 0:
-        raise ValueError("max_n must be nonnegative")
-    cap = enum_cap if enum_cap is not None else enumeration_cap(d)
-    top = max_n if d >= 4 else min(max_n, cap)
-    return [(n, value, n <= top) for n, value in enumerate(_pd_table(d, max_n, top, enum_cap))]
+def _genus(g: int) -> int:
+    if index(g) < 1:  # TypeError on non-integers: no table of P_{g-1} has their dimension
+        raise ValueError("g must be >= 1")
+    return g
 
 
 def _ns_table(max_n: int, table: Sequence[int]) -> list[int]:
@@ -172,8 +104,7 @@ def ns_from_c(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if g < 1:
-        raise ValueError("g must be >= 1")
+    _genus(g)
     check_enumeration_cap(1, n, enum_cap)
     if table is None:
         table = partition_count_table(g - 1, n, enum_cap=enum_cap)
@@ -222,6 +153,7 @@ def kummer_rows(max_n: int, g: int = 3, enum_cap: int | None = None) -> list[Kum
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
+    _genus(g)
     if g != 3:
         check_enumeration_cap(1, max_n, enum_cap)
     table = partition_count_table(g - 1, max_n, enum_cap=enum_cap)
@@ -345,6 +277,7 @@ def verify_single_step(max_n: int) -> Report:
 
 def _genus_reports(g: int, max_n: int, enum_cap: int | None = None) -> tuple[Report, Report]:
     """chi-series(g) and first-order(g): the log solve and the stratified sum, each run once."""
+    _genus(g)
     table = partition_count_table(g - 1, max_n, enum_cap=enum_cap)
     check_enumeration_cap(1, max_n, enum_cap)  # the d = 1 cap after the table's own, as before
     s = log_coefficients(table)
@@ -400,12 +333,12 @@ def run_all_verifiers(
     max_n: int, genus: Iterable[int], enum_cap: int | None = None
 ) -> list[Report]:
     """All identity checks up to max_n, the g-dependent ones once per requested g."""
-    # every refusal first, as the checks meet them: the d = 1 cap (verify_single_step
-    # has none of its own), then partition_count_table's for P_2 and each P_{g-1}
-    genus = list(genus)
+    # every argument check and every refusal first, as the checks meet them: the d = 1
+    # cap (verify_single_step has none of its own), then the tables' for P_2 and each P_{g-1}
+    genus = list(map(_genus, genus))
     check_enumeration_cap(1, max_n, enum_cap)
     for d, cap in [(2, None), *((g - 1, enum_cap) for g in genus)]:
-        _refuse_pd(d, max_n, max_n if d >= 3 else -1, cap)
+        dd_partitions._refuse_table(d, max_n, cap)
     reports = [verify_sigma2_convolution(max_n), verify_single_step(max_n)]
     for g in genus:
         reports.extend(_genus_reports(g, max_n, enum_cap))

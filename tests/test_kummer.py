@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kummerchi import kummer, partitions
-from kummerchi.dd_partitions import EnumerationCapError, count_pd
+from kummerchi.dd_partitions import EnumerationCapError, count_pd, partition_count_rows
 from kummerchi.kummer import (
     Check,
     KummerRow,
@@ -16,7 +16,6 @@ from kummerchi.kummer import (
     dt_invariant,
     kummer_rows,
     ns_from_c,
-    partition_count_rows,
     partition_count_table,
     run_all_verifiers,
     sigma,
@@ -376,19 +375,26 @@ def test_partition_count_rows_flags_and_routes():
     assert plane == [(n, v, n <= 5) for n, v in enumerate(partition_count_table(2, 8))]
     assert partition_count_rows(1, 12, enum_cap=10)[10:] == [
         (10, 42, True), (11, 56, False), (12, 77, False)]
+    # d >= 4 has no product formula: every row is checked, so the enumeration cap binds
+    p4 = [1, 1, 5, 15, 45, 120, 326, 835, 2145, 5345, 13220, 32068]
+    assert partition_count_rows(4, 10) == [(n, v, True) for n, v in enumerate(p4[:11])]
+    with pytest.raises(EnumerationCapError, match="^enumerating 4-dim") as info:
+        partition_count_rows(4, 11)
+    assert info.value.cap == 10
+    assert partition_count_rows(4, 11, enum_cap=11) == [(n, v, True) for n, v in enumerate(p4)]
 
 
 def test_cross_check_walks_once_per_table(monkeypatch):
-    from kummerchi import kummer, partitions
+    from kummerchi import dd_partitions, partitions
 
-    real = kummer.count_pd_alt_table
+    real = dd_partitions.count_pd_alt_table
     calls = []
 
     def counted(d, max_n, enum_cap=None):
         calls.append((d, max_n, enum_cap))
         return real(d, max_n, enum_cap=enum_cap)
 
-    monkeypatch.setattr(kummer, "count_pd_alt_table", counted)
+    monkeypatch.setattr(dd_partitions, "count_pd_alt_table", counted)
     partition_count_rows(3, 13)
     assert calls == [(3, 12, None)]
     calls.clear()
@@ -408,12 +414,12 @@ def test_cross_check_walks_once_per_table(monkeypatch):
 
 
 def test_p_d_mismatch_names_both_counts(monkeypatch):
-    from kummerchi import kummer, partitions
+    from kummerchi import dd_partitions, partitions
 
-    real = kummer.count_pd_alt_table
+    real = dd_partitions.count_pd_alt_table
     wrong_at = []
     monkeypatch.setattr(
-        kummer,
+        dd_partitions,
         "count_pd_alt_table",
         lambda d, max_n, enum_cap=None: [
             7 if n in wrong_at else v for n, v in enumerate(real(d, max_n, enum_cap=enum_cap))

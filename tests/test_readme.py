@@ -14,8 +14,7 @@ from pathlib import Path
 import pytest
 
 from kummerchi.cli import EXIT_CAP, EXIT_OK
-from kummerchi.dd_partitions import _LAYERED_CAPS
-from kummerchi.kummer import _PRODUCT_CAP
+from kummerchi.dd_partitions import _LAYERED_CAPS, _PRODUCT_CAP
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 

@@ -12,20 +12,21 @@ import io
 from contextlib import ExitStack, redirect_stderr, redirect_stdout
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kummerchi import cli, dd_partitions, kummer, partitions
 from kummerchi.cli import EXIT_CAP
-from kummerchi.dd_partitions import _HIGHER_DIM_CAP, _LAYERED_CAPS, DEFAULT_ENUM_CAPS
-from kummerchi.kummer import _PRODUCT_CAP
+from kummerchi.dd_partitions import (_HIGHER_DIM_CAP, _LAYERED_CAPS, _PRODUCT_CAP,
+                                     DEFAULT_ENUM_CAPS)
 
 
 class Tripped(Exception):
     """A kernel was called: the request got as far as counting."""
 
 
-_KERNELS = ((partitions, "_strata"), (kummer, "product_expansion"), (dd_partitions, "_cells"),
+_KERNELS = ((partitions, "_strata"), (dd_partitions, "product_expansion"), (dd_partitions, "_cells"),
             (dd_partitions, "_chain_count"), (dd_partitions, "_lex_walk"))
 
 
@@ -144,3 +145,33 @@ def test_every_request_refuses_before_it_counts_or_is_admitted(case):
         assert code is None, (argv, code, err)
     else:
         assert (code, out, err) == (EXIT_CAP, "", expected + "\n"), argv
+
+
+def _tripwires(monkeypatch):
+    for module, name in _KERNELS:
+        monkeypatch.setattr(module, name, _trip)
+
+
+def test_a_non_integer_dimension_is_refused_before_counting(monkeypatch):
+    # a truthy non-integer d must not take the MacMahon product as if it were 2
+    _tripwires(monkeypatch)
+    for call in (lambda: dd_partitions.partition_count_table(1.5, 5),
+                 lambda: dd_partitions.partition_count_table(0.5, 5),
+                 lambda: dd_partitions.partition_count_rows(1.5, 5),
+                 lambda: kummer.ns_from_c(4, 1.5),
+                 lambda: kummer.run_all_verifiers(5, [1.5])):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            call()
+
+
+def test_a_genus_below_1_is_refused_before_counting(monkeypatch):
+    # every genus is checked before the P_2 table and the single-step walk, which come
+    # first among run_all_verifiers's counts, and the error names g, not d = g - 1
+    _tripwires(monkeypatch)
+    for call in (lambda: kummer.run_all_verifiers(40, [0]),
+                 lambda: kummer.run_all_verifiers(40, [1, 2, -1]),
+                 lambda: kummer.kummer_rows(3, g=0),
+                 lambda: kummer.verify_chi_series(0, 5),
+                 lambda: kummer.verify_first_order(0, 5)):
+        with pytest.raises(ValueError, match="^g must be >= 1$"):
+            call()

@@ -33,21 +33,22 @@ Two encodings are used, one per algorithm:
   |J| and clip, and adds each group's counts of the tails inside the
   clip, memoized by bound; the memo and the cell table live for one call.
 
-This module owns every P_d table, with its route, DFS check and caps:
-`partition_count_table` serves the Kummer routes and `partition_count_rows`
-the `pd` command, from ones (d = 0), Euler's and MacMahon's products
-(d = 1, 2) or the layered count.  Each refuses before any counting with an
-`EnumerationCapError`: DFS work past a configurable cap on n
-(`DEFAULT_ENUM_CAPS`), the products past `_PRODUCT_CAP`, and the layered
-count past half the recursion limit and, for d >= 2, past `_LAYERED_CAPS`.
+This module owns every P_d table, and one function, `_pd_plan`, refuses and
+counts each: it picks the route once, ones (d = 0), Euler's and MacMahon's
+products (d = 1, 2) or the layered count, and refuses before any counting
+with an `EnumerationCapError`: DFS work past a configurable cap on n
+(`DEFAULT_ENUM_CAPS`), the products past `_PRODUCT_CAP`, and the layered count
+past half the recursion limit and, for d >= 2, `_LAYERED_CAPS`.  Through it
+`partition_count_table` serves the Kummer routes, `partition_count_rows` `pd`.
 """
 
 from __future__ import annotations
 
 import sys
 from bisect import bisect_left
+from functools import partial
 from operator import add, index
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .series import product_expansion
 
@@ -414,46 +415,45 @@ def enumerate_pd(d: int, n: int, enum_cap: int | None = None) -> Iterator[DdPart
 
 # --- P_d tables: the route, its DFS check and every refusal ---------------
 
-def _refuse_pd(d: int, max_n: int, top: int, enum_cap: int | None) -> None:
-    """Check `_pd_table`'s arguments, then refuse: the enumeration cap on `top`, the route's."""
-    if index(d) < 0:  # TypeError on non-integers, which would take the route of another d
+def _pd_plan(d: int, max_n: int, top: int | None, enum_cap: int | None) -> Callable[[], list[int]]:
+    """Refuse [P_d(0), ..., P_d(max_n)] before any counting, or give the call that counts it.
+
+    In order: check d and max_n, refuse past the enumeration cap of the DFS
+    check up to `top` (-1: none; None: the Kummer routes' policy, every n of a
+    layered table and none of a product), then past the cap of d's route.
+    The call runs the route's kernel, then the DFS check, whose error names the route.
+    """
+    if (d := index(d)) < 0:  # TypeError on non-integers, which would take another d's route
         raise ValueError("d must be nonnegative")
-    if max_n < 0:
+    if index(max_n) < 0:
         raise ValueError("max_n must be nonnegative")
+    if top is None:
+        top = max_n if d >= 3 else -1
     check_enumeration_cap(d, top, enum_cap)
     if d >= 3:
         _check_layered_cap(d, max_n)
-    elif d >= 1 and max_n > _PRODUCT_CAP:
-        raise EnumerationCapError(d, max_n, _PRODUCT_CAP,
-                                  "the running time of the product expansion")
-
-
-def _pd_table(d: int, max_n: int, top: int, enum_cap: int | None) -> list[int]:
-    """[P_d(0), ..., P_d(max_n)] by d's route, DFS-checked to `top` (-1: none), once refused."""
-    d = index(d)
-    if d >= 3:
-        values = count_pd_table(d, max_n)
+        route, count = "layered", partial(count_pd_table, d, max_n)
     elif d:
-        values = product_expansion((lambda k: 1) if d == 1 else (lambda k: k), max_n)
+        if max_n > _PRODUCT_CAP:
+            raise EnumerationCapError(d, max_n, _PRODUCT_CAP,
+                                      "the running time of the product expansion")
+        # Euler's product, e_k = 1, and MacMahon's, e_k = k
+        route, count = "product", partial(product_expansion, lambda k: k ** (d - 1), max_n)
     else:
-        values = [1] * (max_n + 1)
-    for n, alt in enumerate(count_pd_alt_table(d, top, enum_cap) if top >= 0 else []):
-        if alt != values[n]:
-            route = "product" if d <= 2 else "layered"
-            raise ArithmeticError(f"P_{d}({n}): {route} gives {values[n]}, DFS gives {alt}")
-    return values
+        route, count = "ones", lambda: [1] * (max_n + 1)
 
-
-def _refuse_table(d: int, max_n: int, enum_cap: int | None = None) -> int:
-    """Refuse `partition_count_table(d, max_n, enum_cap)` before counting, or give its `top`."""
-    top = max_n if d >= 3 else -1  # the DFS checks every layered count and no product
-    _refuse_pd(d, max_n, top, enum_cap)
-    return top
+    def table() -> list[int]:
+        values = count()
+        for n, alt in enumerate(count_pd_alt_table(d, top, enum_cap) if top >= 0 else []):
+            if alt != values[n]:
+                raise ArithmeticError(f"P_{d}({n}): {route} gives {values[n]}, DFS gives {alt}")
+        return values
+    return table
 
 
 def partition_count_table(d: int, max_n: int, enum_cap: int | None = None) -> list[int]:
     """[P_d(0), ..., P_d(max_n)] for d >= 0, the table the Kummer routes read; P_0(n) = 1."""
-    return _pd_table(d, max_n, _refuse_table(d, max_n, enum_cap), enum_cap)
+    return _pd_plan(d, max_n, None, enum_cap)()
 
 
 def partition_count_rows(d: int, max_n: int,
@@ -466,7 +466,5 @@ def partition_count_rows(d: int, max_n: int,
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
-    cap = enum_cap if enum_cap is not None else enumeration_cap(d)
-    top = max_n if d >= 4 else min(max_n, cap)
-    _refuse_pd(d, max_n, top, enum_cap)
-    return [(n, value, n <= top) for n, value in enumerate(_pd_table(d, max_n, top, enum_cap))]
+    top = max_n if d >= 4 else min(max_n, enumeration_cap(d) if enum_cap is None else enum_cap)
+    return [(n, value, n <= top) for n, value in enumerate(_pd_plan(d, max_n, top, enum_cap)())]

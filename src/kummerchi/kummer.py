@@ -17,12 +17,12 @@ Euler characteristic is computed here along three independent routes:
 
 Both routes read one P_{g-1} table from `dd_partitions`, which owns its
 route, its DFS check and every cap on it.  The verify_* functions check
-that the routes agree, coefficient by coefficient with exact arithmetic.
-Each returns a report, shared by the CLI and the tests, that keeps the
-number of checks run and a record of each one that fails.  A failed
-check is data, not an exception; a cap raises `EnumerationCapError`, so
-a refusal is never conflated with a failed identity, and every refusal,
-`run_all_verifiers`'s for all its tables included, comes before counting.
+that the routes agree, coefficient by coefficient with exact arithmetic,
+each in a report of the checks run and a record of each one that fails.
+A failed check is data, not an exception; a cap raises `EnumerationCapError`,
+never conflated with a failed identity.  Every entry point refuses before it
+counts, in one order: max_n < 1, then the d = 1 cap of the partition walk,
+then each table's caps (`run_all_verifiers`: every table's, through one call).
 """
 
 from __future__ import annotations
@@ -84,6 +84,11 @@ def _genus(g: int) -> int:
     return g
 
 
+def _max_n(max_n: int) -> None:
+    if index(max_n) < 1:  # TypeError on non-integers, ValueError where no n would be checked
+        raise ValueError("max_n must be >= 1")
+
+
 def _ns_table(max_n: int, table: Sequence[int]) -> list[int]:
     """[0, 1 * s_1, ..., max_n * s_max_n]: each n's sum of c * prod table[i]^alpha_i, one walk."""
     ns = [0] * (max_n + 1)
@@ -110,6 +115,8 @@ def ns_from_c(
         table = partition_count_table(g - 1, n, enum_cap=enum_cap)
     elif len(table) <= n:
         raise ValueError(f"table has no entry for part size {n}")
+    else:  # TypeError on non-integer entries, before the walk: no floats
+        table = list(map(index, table[: n + 1]))
     return _ns_table(n, table)[n]
 
 
@@ -151,8 +158,7 @@ def kummer_rows(max_n: int, g: int = 3, enum_cap: int | None = None) -> list[Kum
     every n (`_ns_table`), for any other g; dt generalizes the threefold DT
     invariant as (-1)^(n+1) * chi / n^(2g), which is (-1)^(n+1) * s_n.
     """
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
+    _max_n(max_n)
     _genus(g)
     if g != 3:
         check_enumeration_cap(1, max_n, enum_cap)
@@ -220,6 +226,7 @@ class _Tally:
 
 def verify_sigma2_convolution(max_n: int) -> Report:
     """n * P_2(n) = sum_{k=1..n} sigma_2(k) * P_2(n-k), P_2 from the product expansion."""
+    _max_n(max_n)
     p2 = partition_count_table(2, max_n)
     tally = _Tally("sigma2-convolution")
     tally.count = max_n
@@ -246,6 +253,7 @@ def verify_single_step(max_n: int) -> Report:
     walk gives each c(alpha), and c(alpha-hat-i) is the same closed form at
     (n - i, parts - 1, D / alpha_i).  Failures come by n, each n's in walk order.
     """
+    _max_n(max_n)
     c_closed = partitions._c_closed
     tally = _Tally("single-step")
 
@@ -277,9 +285,10 @@ def verify_single_step(max_n: int) -> Report:
 
 def _genus_reports(g: int, max_n: int, enum_cap: int | None = None) -> tuple[Report, Report]:
     """chi-series(g) and first-order(g): the log solve and the stratified sum, each run once."""
+    _max_n(max_n)
     _genus(g)
+    check_enumeration_cap(1, max_n, enum_cap)  # the walk's cap, then the table's
     table = partition_count_table(g - 1, max_n, enum_cap=enum_cap)
-    check_enumeration_cap(1, max_n, enum_cap)  # the d = 1 cap after the table's own, as before
     s = log_coefficients(table)
     strat = [n ** (2 * g - 1) * ns for n, ns in enumerate(_ns_table(max_n, table)) if n]
     series = _Tally("chi-series", g)
@@ -335,10 +344,11 @@ def run_all_verifiers(
     """All identity checks up to max_n, the g-dependent ones once per requested g."""
     # every argument check and every refusal first, as the checks meet them: the d = 1
     # cap (verify_single_step has none of its own), then the tables' for P_2 and each P_{g-1}
+    _max_n(max_n)
     genus = list(map(_genus, genus))
     check_enumeration_cap(1, max_n, enum_cap)
     for d, cap in [(2, None), *((g - 1, enum_cap) for g in genus)]:
-        dd_partitions._refuse_table(d, max_n, cap)
+        dd_partitions._pd_plan(d, max_n, None, cap)
     reports = [verify_sigma2_convolution(max_n), verify_single_step(max_n)]
     for g in genus:
         reports.extend(_genus_reports(g, max_n, enum_cap))

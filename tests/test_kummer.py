@@ -150,6 +150,20 @@ def test_ns_from_c_refuses_a_short_table_before_it_walks(monkeypatch):
         chi_kummer_stratified(3, 2, table=[1, 1, 2])
 
 
+def test_ns_from_c_refuses_a_table_of_floats_before_it_walks(monkeypatch):
+    # a caller's table gives an int answer or none, as the package's own tables do
+    assert ns_from_c(3, 3, table=[1, 1, 3, 6]) == 10
+
+    def tripped(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(partitions, "_strata", tripped)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        ns_from_c(3, 3, table=[1, 1, 3, 6.0])
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        chi_kummer_stratified(2, 3, table=[1, 1.0, 3])
+
+
 def test_three_routes_to_sigma2():
     # divisor sums, the signed stratification, and the series logarithm
     s = log_coefficients(partition_count_table(2, 15))

@@ -10,6 +10,7 @@ nothing, and an admitted one must trip.
 
 import io
 from contextlib import ExitStack, redirect_stderr, redirect_stdout
+from itertools import product
 from unittest import mock
 
 import pytest
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from kummerchi import cli, dd_partitions, kummer, partitions
 from kummerchi.cli import EXIT_CAP
 from kummerchi.dd_partitions import (_HIGHER_DIM_CAP, _LAYERED_CAPS, _PRODUCT_CAP,
-                                     DEFAULT_ENUM_CAPS)
+                                     DEFAULT_ENUM_CAPS, EnumerationCapError)
 
 
 class Tripped(Exception):
@@ -175,3 +176,55 @@ def test_a_genus_below_1_is_refused_before_counting(monkeypatch):
                  lambda: kummer.verify_first_order(0, 5)):
         with pytest.raises(ValueError, match="^g must be >= 1$"):
             call()
+
+
+def test_a_max_n_below_1_or_not_an_integer_is_refused_before_counting(monkeypatch):
+    # no verifier answers with reports of no checks, and each refuses in kummer_rows's words;
+    # a non-integer max_n is refused before a kernel multiplies a list by it
+    _tripwires(monkeypatch)
+    for call in (lambda: kummer.verify_single_step(-5),
+                 lambda: kummer.verify_sigma2_convolution(-2),
+                 lambda: kummer.verify_chi_series(1, 0),
+                 lambda: kummer.verify_first_order(2, 0),
+                 lambda: kummer.run_all_verifiers(0, [1, 2]),
+                 lambda: kummer.kummer_rows(0)):
+        with pytest.raises(ValueError, match="^max_n must be >= 1$"):
+            call()
+    for call in (lambda: kummer.verify_single_step(2.5),
+                 lambda: kummer.verify_sigma2_convolution(2.5),
+                 lambda: kummer.verify_chi_series(2, 2.5),
+                 lambda: kummer.run_all_verifiers(2.5, [1]),
+                 lambda: kummer.ns_from_c(2.5, 3),
+                 lambda: dd_partitions.partition_count_table(2, 3.5),
+                 lambda: dd_partitions.partition_count_rows(3, 3.5)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            call()
+
+
+def _outcome(call):
+    """The message of the cap `call` refuses past, or `Tripped` if it starts counting."""
+    try:
+        call()
+    except EnumerationCapError as err:
+        return str(err)
+    except Tripped:
+        return Tripped
+    raise AssertionError("neither refused nor counted")
+
+
+def test_library_entry_points_refuse_as_verify_does(monkeypatch):
+    # each checks the walk's cap before its table's, as run_all_verifiers does, so both
+    # name the same cap or both start counting; kummer_rows walks nothing at g = 3
+    _tripwires(monkeypatch)
+    disagree = []
+    for g, max_n, enum_cap in product([1, 2, 3, 4, 5, 6, 7, 31],
+                                      [1, 2, 5, 6, 10, 11, 12, 13, 16, 40, 41], [None, 13, 41]):
+        expected = _outcome(lambda: kummer.run_all_verifiers(max_n, [g], enum_cap))
+        calls = {"verify_chi_series": lambda: kummer.verify_chi_series(g, max_n, enum_cap),
+                 "verify_first_order": lambda: kummer.verify_first_order(g, max_n, enum_cap),
+                 "ns_from_c": lambda: kummer.ns_from_c(max_n, g, enum_cap=enum_cap)}
+        if g != 3:
+            calls["kummer_rows"] = lambda: kummer.kummer_rows(max_n, g, enum_cap)
+        disagree += [(name, g, max_n, enum_cap, outcome) for name, call in calls.items()
+                     if (outcome := _outcome(call)) != expected]
+    assert disagree == []

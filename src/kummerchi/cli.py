@@ -24,9 +24,9 @@ import argparse
 import sys
 
 from . import __version__, partitions
-from .dd_partitions import (DEFAULT_ENUM_CAPS, EnumerationCapError, check_enumeration_cap,
-                            enumeration_cap, partition_count_rows, partition_count_table)
-from .kummer import kummer_rows, run_all_verifiers, sigma
+from .dd_partitions import (DEFAULT_ENUM_CAPS, EnumerationCapError, enumeration_cap,
+                            partition_count_rows)
+from .kummer import _tables, kummer_rows, run_all_verifiers, sigma
 
 EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1
@@ -148,8 +148,7 @@ def cmd_table(args, out=None) -> int:
 def cmd_c_table(args, out=None) -> int:
     """c(alpha) for each alpha of n, and sum c(alpha) * prod P_2(i)^alpha_i, from one walk."""
     n = args.max_n
-    check_enumeration_cap(1, n, args.enum_cap)
-    table = partition_count_table(2, n)
+    table = _tables(n, [3], args.enum_cap)[2]
     expected = sigma(2, n)
     total = 0
 

@@ -117,17 +117,24 @@ def enumeration_cap(d: int) -> int:
     return DEFAULT_ENUM_CAPS.get(d, _HIGHER_DIM_CAP)
 
 
+def _cap(d: int, enum_cap: int | None) -> int:
+    """The cap on n in dimension d: `enum_cap` if given, which must be an integer >= 1."""
+    if enum_cap is not None and index(enum_cap) < 1:  # TypeError on non-integers
+        raise ValueError("enum_cap must be a positive integer")
+    return enumeration_cap(d) if enum_cap is None else enum_cap
+
+
 def check_enumeration_cap(d: int, n: int, enum_cap: int | None = None) -> None:
     """Raise `EnumerationCapError` if n exceeds the (possibly overridden) cap."""
-    cap = enum_cap if enum_cap is not None else enumeration_cap(d)
+    cap = _cap(d, enum_cap)
     if n > cap:
         raise EnumerationCapError(d, n, cap)
 
 
 def _validate_dn(d: int, n: int) -> None:
-    if d < 1:
+    if index(d) < 1:  # TypeError on non-integers, before a kernel multiplies a list by them
         raise ValueError("dimension d must be a positive integer")
-    if n < 0:
+    if index(n) < 0:
         raise ValueError("n must be nonnegative")
 
 
@@ -142,7 +149,7 @@ class DdPartition:
     __slots__ = ("dim", "boxes")
 
     def __init__(self, dim: int, boxes: Iterable[tuple[int, ...]]):
-        if dim < 1:
+        if index(dim) < 1:  # TypeError on non-integers
             raise ValueError("dimension must be a positive integer")
         cells = frozenset(tuple(b) for b in boxes)
         k = dim + 1
@@ -392,10 +399,15 @@ def enumerate_pd(d: int, n: int, enum_cap: int | None = None) -> Iterator[DdPart
 
     Same canonical lex-order walk as `count_pd_alt`, materializing each
     completion of an ideal of n - 1 boxes as a `DdPartition`, unchecked as
-    the walk builds only ideals.  Deterministic order; subject to the cap.
+    the walk builds only ideals.  Deterministic order; subject to the cap, which,
+    as the arguments, is checked at the call, not at the first ``next``.
     """
     _validate_dn(d, n)
     check_enumeration_cap(d, n, enum_cap)
+    return _enumerate_pd(d, n)
+
+
+def _enumerate_pd(d: int, n: int) -> Iterator[DdPartition]:
     if n == 0:
         yield _trusted_pd(d, frozenset())
         return
@@ -466,5 +478,5 @@ def partition_count_rows(d: int, max_n: int,
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
-    top = max_n if d >= 4 else min(max_n, enumeration_cap(d) if enum_cap is None else enum_cap)
+    top = max_n if d >= 4 else min(max_n, _cap(d, enum_cap))
     return [(n, value, n <= top) for n, value in enumerate(_pd_plan(d, max_n, top, enum_cap)())]

@@ -21,8 +21,8 @@ that the routes agree, coefficient by coefficient with exact arithmetic,
 each in a report of the checks run and a record of each one that fails.
 A failed check is data, not an exception; a cap raises `EnumerationCapError`,
 never conflated with a failed identity.  Every entry point refuses before it
-counts, in one order: max_n < 1, then the d = 1 cap of the partition walk,
-then each table's caps (`run_all_verifiers`: every table's, through one call).
+counts, through `_tables`: max_n < 1, each g < 1, the d = 1 cap of the
+partition walk, then the caps of every table before the first is counted.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from operator import index
 from typing import Iterable, NamedTuple, Sequence
 
 from . import dd_partitions, partitions
-from .dd_partitions import check_enumeration_cap, partition_count_table
+from .dd_partitions import check_enumeration_cap, partition_count_table  # noqa: F401 (re-export)
 from .series import log_coefficients
 
 __all__ = [
@@ -84,9 +84,17 @@ def _genus(g: int) -> int:
     return g
 
 
-def _max_n(max_n: int) -> None:
+def _tables(max_n: int, genus: Iterable[int], enum_cap: int | None = None,
+            walk: bool = True) -> dict[int, list[int]]:
+    """{g - 1: [P_{g-1}(0), ..., P_{g-1}(max_n)]} for each g, each counted once, after
+    refusing max_n, each g, the walk's d = 1 cap if `walk`, then every table's caps."""
     if index(max_n) < 1:  # TypeError on non-integers, ValueError where no n would be checked
         raise ValueError("max_n must be >= 1")
+    dims = dict.fromkeys(_genus(g) - 1 for g in genus)
+    if walk:
+        check_enumeration_cap(1, max_n, enum_cap)
+    plans = {d: dd_partitions._pd_plan(d, max_n, None, enum_cap) for d in dims}
+    return {d: plan() for d, plan in plans.items()}
 
 
 def _ns_table(max_n: int, table: Sequence[int]) -> list[int]:
@@ -110,9 +118,9 @@ def ns_from_c(
     if n < 1:
         raise ValueError("n must be >= 1")
     _genus(g)
-    check_enumeration_cap(1, n, enum_cap)
+    tables = _tables(n, [g] if table is None else [], enum_cap)  # a table given: the cap alone
     if table is None:
-        table = partition_count_table(g - 1, n, enum_cap=enum_cap)
+        table = tables[g - 1]
     elif len(table) <= n:
         raise ValueError(f"table has no entry for part size {n}")
     else:  # TypeError on non-integer entries, before the walk: no floats
@@ -158,11 +166,7 @@ def kummer_rows(max_n: int, g: int = 3, enum_cap: int | None = None) -> list[Kum
     every n (`_ns_table`), for any other g; dt generalizes the threefold DT
     invariant as (-1)^(n+1) * chi / n^(2g), which is (-1)^(n+1) * s_n.
     """
-    _max_n(max_n)
-    _genus(g)
-    if g != 3:
-        check_enumeration_cap(1, max_n, enum_cap)
-    table = partition_count_table(g - 1, max_n, enum_cap=enum_cap)
+    table = _tables(max_n, [g], enum_cap, walk=g != 3)[g - 1]
     s = log_coefficients(table)
     ns = _ns_table(max_n, table) if g != 3 else None
     rows = []
@@ -226,10 +230,13 @@ class _Tally:
 
 def verify_sigma2_convolution(max_n: int) -> Report:
     """n * P_2(n) = sum_{k=1..n} sigma_2(k) * P_2(n-k), P_2 from the product expansion."""
-    _max_n(max_n)
-    p2 = partition_count_table(2, max_n)
+    return _sigma2_report(_tables(max_n, [3], walk=False)[2])
+
+
+def _sigma2_report(p2: list[int]) -> Report:
+    """The sigma_2 convolution over the P_2 table given, for n = 1..len(p2) - 1."""
     tally = _Tally("sigma2-convolution")
-    tally.count = max_n
+    tally.count = max_n = len(p2) - 1
     for n in range(1, max_n + 1):
         lhs = n * p2[n]
         rhs = sum(sigma(2, k) * p2[n - k] for k in range(1, n + 1))
@@ -238,7 +245,7 @@ def verify_sigma2_convolution(max_n: int) -> Report:
     return tally.report()
 
 
-def verify_single_step(max_n: int) -> Report:
+def verify_single_step(max_n: int, enum_cap: int | None = None) -> Report:
     """Exhaustive check of the one-part-removal relation on c, n = 1..max_n.
 
     For every alpha of n with at least two parts and every part size i
@@ -252,8 +259,9 @@ def verify_single_step(max_n: int) -> Report:
     defining recursion, whose base case, single-part alpha, is skipped.  One
     walk gives each c(alpha), and c(alpha-hat-i) is the same closed form at
     (n - i, parts - 1, D / alpha_i).  Failures come by n, each n's in walk order.
+    max_n is subject to the d = 1 cap.
     """
-    _max_n(max_n)
+    _tables(max_n, [], enum_cap)  # max_n and the walk's cap; no table is counted
     c_closed = partitions._c_closed
     tally = _Tally("single-step")
 
@@ -283,12 +291,9 @@ def verify_single_step(max_n: int) -> Report:
     return tally.report()
 
 
-def _genus_reports(g: int, max_n: int, enum_cap: int | None = None) -> tuple[Report, Report]:
-    """chi-series(g) and first-order(g): the log solve and the stratified sum, each run once."""
-    _max_n(max_n)
-    _genus(g)
-    check_enumeration_cap(1, max_n, enum_cap)  # the walk's cap, then the table's
-    table = partition_count_table(g - 1, max_n, enum_cap=enum_cap)
+def _genus_reports(g: int, table: list[int]) -> tuple[Report, Report]:
+    """chi-series(g) and first-order(g) over the P_{g-1} table given: one log solve and one walk."""
+    max_n = len(table) - 1
     s = log_coefficients(table)
     strat = [n ** (2 * g - 1) * ns for n, ns in enumerate(_ns_table(max_n, table)) if n]
     series = _Tally("chi-series", g)
@@ -319,7 +324,7 @@ def verify_chi_series(g: int, max_n: int, enum_cap: int | None = None) -> Report
     g = 3 the closed formula n^5 * sigma_2(n) is checked as well.  One
     table, logarithm and stratified chi serve this and `verify_first_order`.
     """
-    return _genus_reports(g, max_n, enum_cap)[0]
+    return _genus_reports(g, _tables(max_n, [g], enum_cap)[g - 1])[0]
 
 
 def verify_first_order(g: int, max_n: int, enum_cap: int | None = None) -> Report:
@@ -335,21 +340,16 @@ def verify_first_order(g: int, max_n: int, enum_cap: int | None = None) -> Repor
     it restates that verifier's "stratified" check rather than giving an
     independent right-hand side.
     """
-    return _genus_reports(g, max_n, enum_cap)[1]
+    return _genus_reports(g, _tables(max_n, [g], enum_cap)[g - 1])[1]
 
 
 def run_all_verifiers(
     max_n: int, genus: Iterable[int], enum_cap: int | None = None
 ) -> list[Report]:
     """All identity checks up to max_n, the g-dependent ones once per requested g."""
-    # every argument check and every refusal first, as the checks meet them: the d = 1
-    # cap (verify_single_step has none of its own), then the tables' for P_2 and each P_{g-1}
-    _max_n(max_n)
-    genus = list(map(_genus, genus))
-    check_enumeration_cap(1, max_n, enum_cap)
-    for d, cap in [(2, None), *((g - 1, enum_cap) for g in genus)]:
-        dd_partitions._pd_plan(d, max_n, None, cap)
-    reports = [verify_sigma2_convolution(max_n), verify_single_step(max_n)]
+    genus = list(genus)
+    tables = _tables(max_n, [3, *genus], enum_cap)  # P_2 serves sigma_2 and g = 3
+    reports = [_sigma2_report(tables[2]), verify_single_step(max_n, enum_cap)]
     for g in genus:
-        reports.extend(_genus_reports(g, max_n, enum_cap))
+        reports.extend(_genus_reports(g, tables[g - 1]))
     return reports

@@ -81,7 +81,7 @@ def iter_partitions(n: int) -> Iterator[Partition]:
     call walks the same order: that of `_strata`, whose partitions of n
     these are.  A negative n raises at the call, not at the first ``next``.
     """
-    if n < 0:
+    if index(n) < 0:  # TypeError on non-integers
         raise ValueError("n must be nonnegative")
     return _walk(n)
 

@@ -58,9 +58,12 @@ def log_coefficients(counts: Sequence) -> list[Fraction]:
     `counts` lists the coefficients counts[0..N] of a series with
     counts[0] = 1; the s_n are the coefficients of its logarithm.  The
     triangular solve runs on b_n = n*s_n, an integer when the counts are,
-    and makes a `Fraction` only of each returned s_n = b_n / n.
+    and makes a `Fraction` only of each returned s_n = b_n / n.  A count that
+    is neither an `int` nor a `Fraction` raises `TypeError`: no floats.
     """
-    p = [c if isinstance(c, int) else Fraction(c) for c in counts]
+    p = list(counts)
+    if not all(isinstance(c, (int, Fraction)) for c in p):
+        raise TypeError("counts must be ints or Fractions")
     if not p or p[0] != 1:
         raise ValueError("counts[0] must be 1")
     b = [0] * len(p)

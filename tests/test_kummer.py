@@ -344,19 +344,27 @@ def test_run_all_verifiers():
 
 
 def test_run_all_verifiers_builds_each_table_once(monkeypatch):
-    from kummerchi import kummer, partitions
+    from kummerchi import dd_partitions
 
-    built = []
+    planned, counted = [], []
+    real_plan = dd_partitions._pd_plan
 
-    def counting_table(d, max_n, enum_cap=None):
-        built.append(d)
-        return partition_count_table(d, max_n, enum_cap=enum_cap)
+    def counting_plan(d, max_n, top, enum_cap):
+        planned.append(d)
+        count = real_plan(d, max_n, top, enum_cap)
 
-    monkeypatch.setattr(kummer, "partition_count_table", counting_table)
-    reports = run_all_verifiers(8, [2, 4])
+        def table():
+            counted.append(d)
+            return count()
+        return table
+
+    monkeypatch.setattr(dd_partitions, "_pd_plan", counting_plan)
+    reports = run_all_verifiers(8, [2, 3, 4])
     assert all(r.passed for r in reports)
-    # P_2 for the sigma_2 convolution, then P_1 and P_3 once each
-    assert built == [2, 1, 3]
+    # P_2 for the sigma_2 convolution and genus 3, then P_1 and P_3: each counted once,
+    # and no table planned that is not counted
+    assert counted == [2, 1, 3]
+    assert planned == counted
 
 
 def test_run_all_verifiers_solves_each_genus_once(monkeypatch):

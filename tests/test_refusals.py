@@ -201,6 +201,45 @@ def test_a_max_n_below_1_or_not_an_integer_is_refused_before_counting(monkeypatc
             call()
 
 
+def test_verify_single_step_refuses_past_the_walks_cap(monkeypatch):
+    # as every other verifier that walks the partitions does, and enum_cap lifts it
+    _tripwires(monkeypatch)
+    with pytest.raises(EnumerationCapError, match="1-dimensional partitions of 41 exceeds"):
+        kummer.verify_single_step(41)
+    with pytest.raises(Tripped):
+        kummer.verify_single_step(41, enum_cap=41)
+
+
+def test_a_non_integer_or_negative_n_is_refused_at_the_call(monkeypatch):
+    # before a kernel multiplies a list by it, and a generator raises at the call
+    _tripwires(monkeypatch)
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        dd_partitions.enumerate_pd(2, -1)
+    for call in (lambda: dd_partitions.count_pd_alt_table(1, 2.5),
+                 lambda: dd_partitions.count_pd_table(2, 2.5),
+                 lambda: dd_partitions.enumerate_pd(2, 2.5),
+                 lambda: partitions.iter_partitions(2.5),
+                 lambda: dd_partitions.DdPartition(1.5, [])):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            call()
+
+
+def test_an_enum_cap_below_1_or_not_an_integer_is_refused(monkeypatch):
+    # one place turns enum_cap into the cap on n, so no caller reads -3 as "check nothing"
+    _tripwires(monkeypatch)
+    for enum_cap, error in ((-3, ValueError), (0, ValueError), (2.5, TypeError), ("5", TypeError)):
+        for call in (lambda: dd_partitions.partition_count_rows(2, 5, enum_cap=enum_cap),
+                     lambda: dd_partitions.count_pd_alt_table(2, 3, enum_cap=enum_cap),
+                     lambda: dd_partitions.check_enumeration_cap(1, 3, enum_cap),
+                     lambda: dd_partitions.partition_count_table(3, 5, enum_cap=enum_cap),
+                     lambda: kummer.kummer_rows(5, 2, enum_cap),
+                     lambda: kummer.run_all_verifiers(5, [1], enum_cap)):
+            with pytest.raises(error):
+                call()
+    assert dd_partitions._cap(2, None) == 16
+    assert dd_partitions._cap(2, 1) == 1
+
+
 def _outcome(call):
     """The message of the cap `call` refuses past, or `Tripped` if it starts counting."""
     try:

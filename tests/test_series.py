@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -127,6 +128,13 @@ def test_log_coefficients_examples():
         log_coefficients([])
     p2 = product_expansion(lambda k: k, 200)
     assert log_coefficients(p2) == log_coefficients([Fraction(c) for c in p2])
+
+
+def test_log_coefficients_refuses_floats_and_strings():
+    # no floats, no rounding: 0.1 would enter as its binary approximation, "1/2" as a parse
+    for counts in ([1, 0.1], [1, "1/2"], [1.0, 1], [1, 1, Decimal(2)]):
+        with pytest.raises(TypeError, match="ints or Fractions"):
+            log_coefficients(counts)
 
 
 def test_log_coefficients_then_exp_reproduces_counts():

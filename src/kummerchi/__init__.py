@@ -6,15 +6,27 @@ the signed partition weights c(alpha) driving their stratification,
 counts of d-dimensional partitions, and the truncated-power-series
 identities (exp/log over Q) that tie the two together.  No floats,
 no rounding, no tolerances.
-"""
 
-from . import dd_partitions, kummer, partitions, series
-from .partitions import *  # noqa: F401,F403
-from .dd_partitions import *  # noqa: F401,F403
-from .series import *  # noqa: F401,F403
-from .kummer import *  # noqa: F401,F403
+Importing the package loads none of its modules.  The public names,
+`__all__` and the four modules resolve on first use (PEP 562), so
+`kummerchi --version` and `kummerchi pd` load only what they run: the
+command line and `dd_partitions` with `series`, not `kummer`,
+`partitions`, `fractions` or `decimal`.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [*partitions.__all__, *dd_partitions.__all__, *series.__all__, *kummer.__all__,
-           "__version__"]
+_MODULES = ("partitions", "dd_partitions", "series", "kummer")
+
+
+def __getattr__(name: str):
+    if name in _MODULES:
+        __import__(f"{__name__}.{name}")  # binds it here, so no module is asked for twice
+        return globals()[name]
+    modules = [__getattr__(module) for module in _MODULES]
+    if name == "__all__":
+        return [*(public for module in modules for public in module.__all__), "__version__"]
+    for module in modules:
+        if name in module.__all__:
+            return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,6 +13,11 @@ was hit before any exponential work started, and stdout is empty.
 names what sets it instead.  Rationals are printed exactly, as "p/q"
 (or "p" when integral); output for fixed inputs is byte-stable.
 
+Each command imports what it runs when it runs.  The parser needs only
+`dd_partitions` (and `series`, which it imports) for its caps, so `pd`
+and `--version` load nothing else; `table`, `c-table` and `verify` load
+`kummer` and `partitions` too.
+
 CSV and JSON rows are written as they are made: `c-table` walks the
 partitions one at a time and holds none of its rows, so its memory stays
 flat in n.  Text holds the cell strings, which the column widths need.
@@ -23,10 +28,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import __version__, partitions
+from . import __version__
 from .dd_partitions import (DEFAULT_ENUM_CAPS, EnumerationCapError, enumeration_cap,
                             partition_count_rows)
-from .kummer import _tables, kummer_rows, run_all_verifiers, sigma
 
 EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1
@@ -135,6 +139,8 @@ def _emit(fmt, out, meta, header, rows, text_header=None, cell=str, footer=None)
 
 
 def cmd_table(args, out=None) -> int:
+    from .kummer import kummer_rows
+
     rows = kummer_rows(args.max_n, g=args.genus, enum_cap=args.enum_cap)
     _emit(
         args.format, out or sys.stdout,
@@ -147,6 +153,9 @@ def cmd_table(args, out=None) -> int:
 
 def cmd_c_table(args, out=None) -> int:
     """c(alpha) for each alpha of n, and sum c(alpha) * prod P_2(i)^alpha_i, from one walk."""
+    from . import partitions
+    from .kummer import _tables, sigma
+
     n = args.max_n
     table = _tables(n, [3], args.enum_cap)[2]
     expected = sigma(2, n)
@@ -192,6 +201,8 @@ def cmd_pd(args, out=None) -> int:
 
 
 def cmd_verify(args, out=None) -> int:
+    from .kummer import run_all_verifiers
+
     out = out or sys.stdout
     reports = run_all_verifiers(args.max_n, args.genus, enum_cap=args.enum_cap)
     passed = all(r.passed for r in reports)

@@ -15,8 +15,10 @@ Two encodings are used, one per algorithm:
   increasing lexicographic order.  Lexicographic order extends the
   coordinatewise order, so every prefix of the sorted box list is
   itself downward closed and every ideal is generated exactly once.
-  One walk to N counts every size up to N: each ideal it visits adds
-  its addable boxes to the count one size up.  The walk codes a box as
+  One walk to N counts every size up to N, and it visits only the ideals
+  of at most N - 2 boxes: each hands over its addable boxes and, for
+  each, the boxes that adding it frees, so its children and grandchildren
+  are counted, or built, without being visited.  The walk codes a box as
   one int, its coordinates the base-N digits, so that int order is lex
   order and a predecessor is a subtraction; `enumerate_pd` decodes the
   boxes to tuples.
@@ -113,8 +115,8 @@ class EnumerationCapError(RuntimeError):
 
 
 def enumeration_cap(d: int) -> int:
-    """The default cap on n for brute-force work in dimension d."""
-    return DEFAULT_ENUM_CAPS.get(d, _HIGHER_DIM_CAP)
+    """The default cap on n for brute-force work in dimension d, an integer."""
+    return DEFAULT_ENUM_CAPS.get(index(d), _HIGHER_DIM_CAP)  # TypeError on non-integers
 
 
 def _cap(d: int, enum_cap: int | None) -> int:
@@ -125,7 +127,12 @@ def _cap(d: int, enum_cap: int | None) -> int:
 
 
 def check_enumeration_cap(d: int, n: int, enum_cap: int | None = None) -> None:
-    """Raise `EnumerationCapError` if n exceeds the (possibly overridden) cap."""
+    """Raise `EnumerationCapError` if n exceeds the (possibly overridden) cap.
+
+    d and n must be integers: `TypeError` otherwise, where n = 2.5 would
+    pass and d = 2.5 would be named in the refusal.
+    """
+    d, n = index(d), index(n)
     cap = _cap(d, enum_cap)
     if n > cap:
         raise EnumerationCapError(d, n, cap)
@@ -325,51 +332,71 @@ def _strides(d: int, base: int) -> list[int]:
     return [base**i for i in range(d, -1, -1)]
 
 
-def _lex_walk(d: int, n: int) -> Iterator[tuple[set[int], list[int]]]:
-    """The canonical lex-order DFS over box sets, n >= 1: yields (boxes, addable).
+def _lex_walk(d: int, n: int) -> Iterator[tuple[set[int], list[int], list[list[int]]]]:
+    """The canonical lex-order DFS over box sets, n >= 2: yields (boxes, addable, freed).
 
-    Every ideal with fewer than n boxes is visited once, in lex order, as
-    `boxes` (shared: it changes once the walk resumes); each cell of
-    `addable`, in increasing order, completes it to a distinct ideal with
-    one box more.  A box is one int whose base-n digits are its
-    coordinates (`_strides`): an ideal of at most n boxes has every
-    coordinate below n, so no digit carries and int order is lex order.
+    Every ideal of at most n - 2 boxes is visited once, in lex order, as
+    `boxes`.  Each cell of `addable`, in increasing order, completes it to
+    a distinct child with one box more, and `freed[j]` lists the cells, all
+    above `addable[j]`, that adding `addable[j]` makes addable: that
+    child's own addable cells are `addable[j + 1:] + freed[j]`.  So the
+    ideals of n - 1 and n boxes are counted or built from their
+    grandparent, never visited.  The set and the lists are shared (the
+    set changes once the walk resumes): read them only.  A box is one int
+    whose base-n digits are its coordinates (`_strides`): an ideal of at
+    most n boxes has every coordinate below n, so no digit carries and int
+    order is lex order.
     """
-    base = max(n, 2)
-    strides = _strides(d, base)
-    preds: dict[int, list[int]] = {}  # cell -> its predecessors, one per nonzero digit
+    strides = _strides(d, n)
+    boxes: set[int] = set()
+    has_all = boxes.issuperset
+    # cell -> (the successors it frees alone, [(successor, its other predecessors)]),
+    # leaving out successors with a predecessor above the cell, never in the ideal
+    succs: dict[int, tuple[list[int], list[tuple[int, list[int]]]]] = {}
 
-    def addable_after(cell: int) -> list[int]:
-        """Successors of the newest box `cell` all of whose predecessors are now boxes."""
-        out = []
+    def successors(cell: int) -> tuple[list[int], list[tuple[int, list[int]]]]:
+        alone, shared = [], []
         for step in strides:
             succ = cell + step
-            need = preds.get(succ)
-            if need is None:
-                need = preds[succ] = [succ - s for s in strides if succ // s % base]
-            if boxes.issuperset(need):
-                out.append(succ)
-        return out
+            others = [succ - s for s in strides if s != step and succ // s % n]
+            if not others:
+                alone.append(succ)
+            elif max(others) < cell:
+                shared.append((succ, others))
+        succs[cell] = alone, shared
+        return alone, shared
 
-    boxes: set[int] = set()
-    yield boxes, [0]
-    # the open ideal's addable cells, next child and newest box; the stack holds its ancestors
-    stack: list[tuple[list[int], int, int | None]] = []
-    addable, idx, made = [0] if n > 1 else [], 0, None
+    addable, freed = [0], [successors(0)[0]]
+    yield boxes, addable, freed
+    if n == 2:
+        return
+    # the open ideal's addable cells, what each frees, its next child and its newest
+    # box; the stack holds its ancestors
+    stack: list[tuple[list[int], list[list[int]], int, int | None]] = []
+    idx, made = 0, None
     while stack or idx < len(addable):
         if idx == len(addable):
             boxes.discard(made)
-            addable, idx, made = stack.pop()
+            addable, freed, idx, made = stack.pop()
             continue
         cell = addable[idx]
+        nxt = addable[idx + 1 :] + freed[idx]
+        nxt.sort()
         idx += 1
         boxes.add(cell)
-        nxt = addable[idx:] + addable_after(cell)
-        nxt.sort()
-        yield boxes, nxt
-        if len(boxes) + 1 < n:
-            stack.append((addable, idx, made))
-            addable, idx, made = nxt, 0, cell
+        frees = []
+        for c in nxt:  # loops, not comprehensions: a comprehension's frame costs more here
+            alone, shared = succs.get(c) or successors(c)
+            if shared:
+                alone = alone[:]
+                for succ, others in shared:
+                    if has_all(others):
+                        alone.append(succ)
+            frees.append(alone)
+        yield boxes, nxt, frees
+        if len(boxes) + 2 < n:
+            stack.append((addable, freed, idx, made))
+            addable, freed, idx, made = nxt, frees, 0, cell
         else:
             boxes.remove(cell)
 
@@ -378,14 +405,19 @@ def count_pd_alt_table(d: int, max_n: int, enum_cap: int | None = None) -> list[
     """[P_d(0), ..., P_d(max_n)] by one box-set DFS, subject to the enumeration cap.
 
     Structurally independent of `count_pd`: no layer recursion, no memo,
-    just the canonical lex-order walk, which counts every size it passes.
+    just the canonical lex-order walk.  Each ideal it visits adds its
+    grandchildren to the count two sizes up: child j has the addable cells
+    after `addable[j]` and those `freed[j]` lists.
     """
     _validate_dn(d, max_n)
     check_enumeration_cap(d, max_n, enum_cap)
     counts = [1] + [0] * max_n
     if max_n:
-        for boxes, addable in _lex_walk(d, max_n):
-            counts[len(boxes) + 1] += len(addable)
+        counts[1] = 1  # the origin alone
+    if max_n > 1:
+        for boxes, addable, freed in _lex_walk(d, max_n):
+            a = len(addable)
+            counts[len(boxes) + 2] += a * (a - 1) // 2 + sum(map(len, freed))
     return counts
 
 
@@ -398,7 +430,7 @@ def enumerate_pd(d: int, n: int, enum_cap: int | None = None) -> Iterator[DdPart
     """Yield every d-dimensional partition of n exactly once.
 
     Same canonical lex-order walk as `count_pd_alt`, materializing each
-    completion of an ideal of n - 1 boxes as a `DdPartition`, unchecked as
+    grandchild of an ideal of n - 2 boxes as a `DdPartition`, unchecked as
     the walk builds only ideals.  Deterministic order; subject to the cap, which,
     as the arguments, is checked at the call, not at the first ``next``.
     """
@@ -408,21 +440,22 @@ def enumerate_pd(d: int, n: int, enum_cap: int | None = None) -> Iterator[DdPart
 
 
 def _enumerate_pd(d: int, n: int) -> Iterator[DdPartition]:
-    if n == 0:
-        yield _trusted_pd(d, frozenset())
+    if n < 2:
+        yield _trusted_pd(d, frozenset({(0,) * (d + 1)} if n else ()))
         return
-    base = max(n, 2)
-    strides = _strides(d, base)
+    strides = _strides(d, n)
     coords: dict[int, tuple[int, ...]] = {}  # cell code -> box, decoded once per walk
 
     def box(c: int) -> tuple[int, ...]:
-        return coords.get(c) or coords.setdefault(c, tuple(c // s % base for s in strides))
+        return coords.get(c) or coords.setdefault(c, tuple(c // s % n for s in strides))
 
-    for boxes, addable in _lex_walk(d, n):
-        if len(boxes) == n - 1:
+    for boxes, addable, freed in _lex_walk(d, n):
+        if len(boxes) == n - 2:
             stem = frozenset(map(box, boxes))
-            for cell in addable:
-                yield _trusted_pd(d, stem.union((box(cell),)))
+            for j, cell in enumerate(addable):
+                child = stem.union((box(cell),))
+                for last in sorted(addable[j + 1 :] + freed[j]):
+                    yield _trusted_pd(d, child.union((box(last),)))
 
 
 # --- P_d tables: the route, its DFS check and every refusal ---------------

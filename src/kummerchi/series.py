@@ -8,10 +8,12 @@ logarithm's coefficients s_n = b_n / n are true rationals, returned as
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 from operator import add, index
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = ["product_expansion", "log_coefficients"]
 
@@ -27,14 +29,14 @@ def _geometric_power_coeffs(e: int, j_max: int) -> list[int]:
 def product_expansion(exponent: Callable[[int], int], order: int) -> list[int]:
     """The coefficients of q^0 .. q^order of prod_{k>=1} (1 - q^k)^(-e_k).
 
-    `exponent(k)` gives the integer e_k for 1 <= k <= order; a value that
-    is not an integer raises `TypeError`.  Factors with k > order cannot
-    touch the truncation and are skipped.  e_k = 1 for all k yields the
+    `exponent(k)` gives the integer e_k for 1 <= k <= order; an order or
+    a value that is not an integer raises `TypeError`.  Factors with
+    k > order cannot touch the truncation and are skipped.  e_k = 1 for all k yields the
     ordinary-partition series, e_k = k the plane-partition (MacMahon) series.
     Each factor's term c * q^(jk) adds c times the old coefficients, shifted
     by jk, as one slice-wide `map`.
     """
-    if order < 0:
+    if index(order) < 0:  # TypeError on non-integers, before a list is multiplied by one
         raise ValueError("order must be nonnegative")
     coeffs = [1] + [0] * order
     for k in range(1, order + 1):
@@ -61,6 +63,8 @@ def log_coefficients(counts: Sequence) -> list[Fraction]:
     and makes a `Fraction` only of each returned s_n = b_n / n.  A count that
     is neither an `int` nor a `Fraction` raises `TypeError`: no floats.
     """
+    from fractions import Fraction  # here, not at start-up: `pd` never takes a logarithm
+
     p = list(counts)
     if not all(isinstance(c, (int, Fraction)) for c in p):
         raise TypeError("counts must be ints or Fractions")

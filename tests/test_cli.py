@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from kummerchi import cli, partitions
+from kummerchi import cli, kummer, partitions
 from kummerchi.cli import (
     EXIT_CAP,
     EXIT_IDENTITY_FAILURE,
@@ -308,7 +308,8 @@ def test_failed_identities_render_in_every_format(capsys, monkeypatch):
             Check("single-step", 3, False, "-3/2", "3/2", detail="alpha=1^1 2^1"),
         )),
     ]
-    monkeypatch.setattr(cli, "run_all_verifiers", lambda max_n, genus, enum_cap=None: reports)
+    # cmd_verify imports run_all_verifiers from kummer when it runs
+    monkeypatch.setattr(kummer, "run_all_verifiers", lambda max_n, genus, enum_cap=None: reports)
     failures = [
         {"identity": "chi-series", "n": 2, "g": 2, "detail": "", "ok": False,
          "lhs": "24", "rhs": "25"},
@@ -357,8 +358,9 @@ def test_verifier_failures_render_in_every_format(capsys, monkeypatch):
 
 
 def test_c_table_mismatch_renders_in_every_format(capsys, monkeypatch):
-    real_sigma = cli.sigma
-    monkeypatch.setattr(cli, "sigma", lambda k, n: real_sigma(k, n) + 1)
+    # cmd_c_table imports sigma from kummer when it runs
+    real_sigma = kummer.sigma
+    monkeypatch.setattr(kummer, "sigma", lambda k, n: real_sigma(k, n) + 1)
     rows = [("3^1", 3), ("1^1 2^1", -3), ("1^3", 1)]
     payload = {
         "command": "c-table", "n": 3,

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import math
 
@@ -343,6 +344,46 @@ def test_enumeration_order_is_lex_order_of_sorted_boxes():
         walked = [sorted(p.boxes) for p in enumerate_pd(d, n)]
         assert walked == sorted(walked)
         assert all(type(box) is tuple and len(box) == d + 1 for boxes in walked for box in boxes)
+
+
+def test_the_walk_visits_only_ideals_of_at_most_n_minus_2_boxes():
+    # the sizes n - 1 and n are counted from their grandparents: sum P_3(0..10), where
+    # a walk that visited every ideal below n boxes made sum P_3(0..11) = 12318 steps
+    assert sum(1 for _ in dd_partitions._lex_walk(3, 12)) == 5818 == sum(count_pd_table(3, 10))
+    sizes = [len(boxes) for boxes, _, _ in dd_partitions._lex_walk(2, 7)]
+    assert max(sizes) == 5 and len(sizes) == sum(count_pd_table(2, 5))
+
+
+def test_the_walk_counts_n_at_most_3_in_every_dimension():
+    # the walk's edges, n = 0 and 1 without it and n = 2 from the empty ideal alone;
+    # P_d(2) = d + 1 and P_d(3) = C(d + 2, 2): a column of 3, or two boxes on two axes
+    for d in range(1, 32):
+        for n in range(4):
+            alt = count_pd_alt_table(d, n)
+            assert alt == [1, 1, d + 1, math.comb(d + 2, 2)][: n + 1], (d, n)
+            if d <= max(dd_partitions._LAYERED_CAPS) or n <= 1:  # d = 31 refuses n = 2
+                assert alt == count_pd_table(d, n), (d, n)
+
+
+# sha256 of the list of sorted box lists enumerate_pd(d, n) gave when its walk
+# visited every ideal below n boxes, its first 16 hex digits
+_ENUMERATIONS = {(1, 6): (11, "62a026b8df1d9a76"), (2, 5): (24, "e4b104e796a4a75c"),
+                 (3, 4): (26, "c8da5f48620cea6b"), (4, 3): (15, "c80fdce065abeea2"),
+                 (30, 2): (31, "79fa39f9f8776683")}
+
+
+def test_enumeration_is_unchanged_item_for_item():
+    for (d, n), (count, digest) in _ENUMERATIONS.items():
+        walked = [sorted(p.boxes) for p in enumerate_pd(d, n)]
+        assert len(walked) == count
+        assert hashlib.sha256(repr(walked).encode()).hexdigest()[:16] == digest, (d, n)
+    # n <= 2: nothing, the origin, then the origin and one unit box, last axis first
+    for d in (1, 2, 3, 4, 31):
+        origin = (0,) * (d + 1)
+        units = [origin[: d - k] + (1,) + origin[d - k + 1 :] for k in range(d + 1)]
+        assert [sorted(p.boxes) for p in enumerate_pd(d, 0)] == [[]]
+        assert [sorted(p.boxes) for p in enumerate_pd(d, 1)] == [[origin]]
+        assert [sorted(p.boxes) for p in enumerate_pd(d, 2)] == [[origin, u] for u in units]
 
 
 def test_ddpartition_validates_downward_closure():

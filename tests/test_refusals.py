@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kummerchi import cli, dd_partitions, kummer, partitions
+from kummerchi import cli, dd_partitions, kummer, partitions, series
 from kummerchi.cli import EXIT_CAP
 from kummerchi.dd_partitions import (_HIGHER_DIM_CAP, _LAYERED_CAPS, _PRODUCT_CAP,
                                      DEFAULT_ENUM_CAPS, EnumerationCapError)
@@ -220,6 +220,18 @@ def test_a_non_integer_or_negative_n_is_refused_at_the_call(monkeypatch):
                  lambda: dd_partitions.enumerate_pd(2, 2.5),
                  lambda: partitions.iter_partitions(2.5),
                  lambda: dd_partitions.DdPartition(1.5, [])):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            call()
+
+
+def test_a_non_integer_order_n_or_d_is_refused_by_the_public_checks(monkeypatch):
+    # product_expansion failed inside its kernel, the two cap helpers passed 2.5 silently
+    # and check_enumeration_cap(2.5, 50) refused naming "2.5-dimensional partitions"
+    _tripwires(monkeypatch)
+    for call in (lambda: series.product_expansion(lambda k: 1, 2.5),
+                 lambda: dd_partitions.check_enumeration_cap(1, 2.5),
+                 lambda: dd_partitions.enumeration_cap(2.5),
+                 lambda: dd_partitions.check_enumeration_cap(2.5, 50)):
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             call()
 

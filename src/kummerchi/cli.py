@@ -18,9 +18,11 @@ Each command imports what it runs when it runs.  The parser needs only
 and `--version` load nothing else; `table`, `c-table` and `verify` load
 `kummer` and `partitions` too.
 
-CSV and JSON rows are written as they are made: `c-table` walks the
+Every format writes each row as it is made, and `c-table` walks the
 partitions one at a time and holds none of its rows, so its memory stays
-flat in n.  Text holds the cell strings, which the column widths need.
+flat in n.  CSV and JSON read the rows once.  Text reads them twice: once
+for the column widths, keeping no cell string, then to write them; so
+`c-table` hands over rows that walk the partitions again each time.
 """
 
 from __future__ import annotations
@@ -87,19 +89,31 @@ def _yes_no(value) -> str:
     return ("no", "yes")[value] if isinstance(value, bool) else str(value)
 
 
+class _Rows:
+    """Rows walked afresh by `walk()` each time they are iterated, so text can read them twice."""
+
+    def __init__(self, walk):
+        self.walk = walk
+
+    def __iter__(self):
+        return self.walk()
+
+
 def _emit(fmt, out, meta, header, rows, text_header=None, cell=str, footer=None) -> None:
-    """Write `rows`, any iterable, in format `fmt`; CSV and JSON write each row as it comes.
+    """Write `rows` in format `fmt`, each row as it comes, keeping none.
 
     JSON is `meta` plus the rows as records keyed by `header`, byte for
     byte what `_dump_json` writes for the whole payload, given at least
     one row, as every command has.  CSV is `header` and the rows as given.
-    Text is an aligned table under `text_header` (default `header`), each
-    value rendered by `cell`; it keeps the cell strings, which the column
-    widths need, and writes them line by line.  The keys of `meta` sort
-    before "rows".  `footer`, if given, is called once after the last row
-    and returns a dict: its "json" entry holds more top-level keys, which
-    sort after "rows", and its "csv" or "text" entry is one more line
-    after the table.
+    Both read `rows` once, so any iterable will do.  Text is an aligned
+    table under `text_header` (default `header`), each value rendered by
+    `cell`.  It reads `rows` twice: the first pass keeps only the widths
+    of the columns, the second writes each row.  So text needs rows it
+    can iterate again, and refuses an iterator with `TypeError` before it
+    writes anything.  The keys of `meta` sort before "rows".  `footer`, if
+    given, is called once after the last row and returns a dict: its
+    "json" entry holds more top-level keys, which sort after "rows", and
+    its "csv" or "text" entry is one more line after the table.
     """
     if fmt == "json":
         import json
@@ -124,12 +138,17 @@ def _emit(fmt, out, meta, header, rows, text_header=None, cell=str, footer=None)
         writer.writerow(header)
         writer.writerows(rows if cell is str else ([cell(v) for v in row] for row in rows))
     else:
+        first = iter(rows)
+        if first is rows:
+            raise TypeError("text output reads its rows twice, so they cannot be an iterator")
         head = text_header or header
-        cells = [tuple(map(cell, row)) for row in rows]
-        widths = [max(map(len, column)) for column in zip(head, *cells)]
+        # the first pass keeps only the distinct tuples of cell lengths, a handful
+        shapes = {tuple(map(len, map(cell, row))) for row in first}
+        widths = [max(column) for column in zip(map(len, head), *shapes)]
         print("  ".join(h.ljust(w) for h, w in zip(head, widths)).rstrip(), file=out)
-        for row in cells:
-            print("  ".join(c.rjust(w) for c, w in zip(row, widths)).rstrip(), file=out)
+        line = "  ".join(f"{{:>{w}}}" for w in widths).format  # each cell right-aligned
+        for row in rows:
+            out.write(line(*map(cell, row)).rstrip() + "\n")
     tail = footer() if footer else {}
     if fmt == "json":
         late = sorted(tail.get("json", {}).items())
@@ -146,13 +165,14 @@ def cmd_table(args, out=None) -> int:
         args.format, out or sys.stdout,
         {"command": "table", "genus": args.genus, "max_n": args.max_n},
         ["n", "sigma2", "chi", "dt", "s"],
-        ([r.n, r.sigma2, r.chi, str(r.dt), str(r.s)] for r in rows),
+        [[r.n, r.sigma2, r.chi, str(r.dt), str(r.s)] for r in rows],
     )
     return EXIT_OK
 
 
 def cmd_c_table(args, out=None) -> int:
-    """c(alpha) for each alpha of n, and sum c(alpha) * prod P_2(i)^alpha_i, from one walk."""
+    """c(alpha) for each alpha of n, and sum c(alpha) * prod P_2(i)^alpha_i, from one walk
+    (two in text); c is computed only for the alpha of n that are printed."""
     from . import partitions
     from .kummer import _tables, sigma
 
@@ -160,17 +180,17 @@ def cmd_c_table(args, out=None) -> int:
     table = _tables(n, [3], args.enum_cap)[2]
     expected = sigma(2, n)
     total = 0
+    label = {(i, m): f"{i}^{m}" for i in range(1, n + 1) for m in range(1, n // i + 1)}.__getitem__
 
     def rows():
         nonlocal total
-        labels = [""]  # labels[k]: the label, and a space, of the walk's node at depth k
-        for weight, _, _, c, w, path in partitions._strata(n, table, least=n):
-            del labels[len(path):]
-            i, m = path[-1]
-            labels.append(f"{i}^{m} {labels[-1]}")  # a parent's label after its child's part
+        total = 0
+        c_closed = partitions._c_closed
+        for weight, l, d, w, path in partitions._strata(n, table, least=n):
             if weight == n:
+                c = c_closed(n, l, d)
                 total += c * w
-                yield labels[-1][:-1], c
+                yield " ".join(map(label, reversed(path))), c
 
     def footer():
         ok = total == expected
@@ -183,7 +203,7 @@ def cmd_c_table(args, out=None) -> int:
         }
 
     _emit(args.format, out or sys.stdout, {"command": "c-table", "n": n}, ["partition", "c"],
-          rows(), footer=footer)
+          _Rows(rows), footer=footer)
     return EXIT_OK if total == expected else EXIT_IDENTITY_FAILURE
 
 

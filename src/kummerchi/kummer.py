@@ -100,8 +100,9 @@ def _tables(max_n: int, genus: Iterable[int], enum_cap: int | None = None,
 def _ns_table(max_n: int, table: Sequence[int]) -> list[int]:
     """[0, 1 * s_1, ..., max_n * s_max_n]: each n's sum of c * prod table[i]^alpha_i, one walk."""
     ns = [0] * (max_n + 1)
-    for n, _, _, c, w, _ in partitions._strata(max_n, table):
-        ns[n] += c * w
+    c_closed = partitions._c_closed
+    for n, l, d, w, _ in partitions._strata(max_n, table):
+        ns[n] += c_closed(n, l, d) * w
     return ns
 
 
@@ -257,7 +258,8 @@ def verify_single_step(max_n: int, enum_cap: int | None = None) -> Report:
     left uncancelled (compared in integers), plus the closure: summing over
     the distinct sizes i recovers c(alpha) = -sum_i c(alpha-hat-i), the
     defining recursion, whose base case, single-part alpha, is skipped.  One
-    walk gives each c(alpha), and c(alpha-hat-i) is the same closed form at
+    walk gives each alpha's (n, parts, D = prod alpha_i!); c(alpha) is the
+    closed form there and c(alpha-hat-i) the same closed form at
     (n - i, parts - 1, D / alpha_i).  Failures come by n, each n's in walk order.
     max_n is subject to the d = 1 cap.
     """
@@ -268,7 +270,8 @@ def verify_single_step(max_n: int, enum_cap: int | None = None) -> Report:
     def label():  # alpha's `Partition.label`, for the record of a failed check
         return " ".join(f"{i}^{m}" for i, m in reversed(path))
 
-    for n, p, d, ca, _, path in partitions._strata(max_n, [1] * (max_n + 1)):
+    for n, p, d, _, path in partitions._strata(max_n, [1] * (max_n + 1)):
+        ca = c_closed(n, p, d)
         if p < 2:
             continue
         tally.count += 2 * len(path) + 1  # two checks per distinct size i, and the closure

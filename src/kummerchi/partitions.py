@@ -12,9 +12,12 @@ the signed recursion c((n)) = n, c(alpha) = -sum_i c(alpha with one part
 of size i removed), with i over the *distinct* part sizes of alpha.
 
 `_strata` walks the partitions of every n up to a bound depth first, each
-term of the stratified sums stepped from its parent's, and holds one path;
-`iter_partitions` yields its partitions of one n, `enumerate_partitions`
-lists them.  Nothing in this module keeps state between calls.
+node's parts, prod alpha_i! and weight stepped from its parent's, and holds
+one path; it computes no c.  Each caller calls `_c_closed` where it needs
+c: `c-table` for the partitions it prints, route 2 and the single-step
+check for every node.  `iter_partitions` yields the walk's partitions of
+one n and `enumerate_partitions` lists them; neither computes c.  Nothing
+in this module keeps state between calls.
 """
 
 from __future__ import annotations
@@ -89,7 +92,7 @@ def iter_partitions(n: int) -> Iterator[Partition]:
 def _walk(n: int) -> Iterator[Partition]:
     if not n:
         yield _trusted((), 0)
-    for weight, _, _, _, _, path in _strata(n, [1] * (n + 1), least=n):
+    for weight, _, _, _, path in _strata(n, [1] * (n + 1), least=n):
         if weight == n:
             vec = [0] * path[0][0]  # vec[i - 1] counts the parts of size i
             for i, m in path:
@@ -122,16 +125,19 @@ def c_value(alpha: Partition) -> int:
 
 
 def _strata(max_n: int, table: Sequence[int], least: int = 1) -> Iterator[tuple]:
-    """(n, l, D, c, W, path) for each partition alpha of n = least..max_n and each parent of one.
+    """(n, l, D, W, path) for each partition alpha of n = least..max_n and each parent of one.
 
     Depth first, by decreasing largest part and each size's multiplicity from
     high to low.  `path` is one list, changed in place, of alpha's (size,
     multiplicity) pairs, largest size first; l counts its parts, D = prod_i
-    alpha_i!, W = prod_i table[i]^(alpha_i) and c = `_c_closed(n, l, D)`.  A
-    child of size 1 is a leaf, skipped if its n is below `least`.
+    alpha_i! and W = prod_i table[i]^(alpha_i).  A child of size 1 is a
+    leaf, skipped if its n is below `least`.  The walk computes no c: a
+    caller that needs c(alpha) calls `_c_closed(n, l, D)` for the nodes it uses.
     """
     fact = list(accumulate(range(1, max_n + 1), mul, initial=1))
-    ones = list(accumulate(table[1:2] * max_n, mul, initial=1))  # ones[k] = table[1]^k
+    power = [[1]] + [list(accumulate([table[i]] * (max_n // i), mul, initial=1))
+                     for i in range(1, max_n + 1)]  # power[i][m] = table[i]^m
+    ones = power[1] if max_n else []
     path: list[tuple[int, int]] = []
     # pending: a parent's depth, n, l, D, W, then a child's (i, m), or (1, room) for all of size 1
     stack = [(0, 0, 0, 1, 1, 1, max_n)]
@@ -143,15 +149,14 @@ def _strata(max_n: int, table: Sequence[int], least: int = 1) -> Iterator[tuple]
             path[depth:] = [None]
             for k in range(m, max(least - n0, 1) - 1, -1):
                 path[-1] = (1, k)
-                n, l, d = n0 + k, l0 + k, d0 * fact[k]
-                yield n, l, d, _c_closed(n, l, d), w0 * ones[k], path
+                yield n0 + k, l0 + k, d0 * fact[k], w0 * ones[k], path
             continue
         path[depth:] = [(i, m)]
-        n, l, d, w = n0 + i * m, l0 + m, d0 * fact[m], w0 * table[i] ** m
-        yield n, l, d, _c_closed(n, l, d), w, path
+        n, l, d, w = n0 + i * m, l0 + m, d0 * fact[m], w0 * power[i][m]
+        yield n, l, d, w, path
         room = max_n - n
         if room:  # pushed in reverse order of visit: size 1 first, then ascending
             push((depth + 1, n, l, d, w, 1, room))
-            for j in range(2, min(i, room + 1)):
+            for j in range(2, i if i <= room else room + 1):
                 for k in range(1, room // j + 1):
                     push((depth + 1, n, l, d, w, j, k))

@@ -8,6 +8,7 @@ logarithm's coefficients s_n = b_n / n are true rationals, returned as
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb
 from operator import add, index
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -33,8 +34,11 @@ def product_expansion(exponent: Callable[[int], int], order: int) -> list[int]:
     a value that is not an integer raises `TypeError`.  Factors with
     k > order cannot touch the truncation and are skipped.  e_k = 1 for all k yields the
     ordinary-partition series, e_k = k the plane-partition (MacMahon) series.
-    Each factor's term c * q^(jk) adds c times the old coefficients, shifted
-    by jk, as one slice-wide `map`.
+
+    A factor with e_k > 0, e_k * k <= order and k^2 <= order is e_k passes of
+    1 / (1 - q^k), each a prefix sum along every residue class mod k, in
+    place.  Any other factor's term c * q^(jk) adds c times the old
+    coefficients, shifted by jk, as one slice-wide `map`.
     """
     if index(order) < 0:  # TypeError on non-integers, before a list is multiplied by one
         raise ValueError("order must be nonnegative")
@@ -42,6 +46,15 @@ def product_expansion(exponent: Callable[[int], int], order: int) -> list[int]:
     for k in range(1, order + 1):
         e = index(exponent(k))
         if e == 0:
+            continue
+        # e passes make about e * order additions where the slices below make about
+        # order^2 / (2k) multiply-adds: fewer while e * k <= order.  Each pass also
+        # makes k strided slices, which hold at least k coefficients each while
+        # k^2 <= order, so the cost per slice stays small beside its additions.
+        if e > 0 and e * k <= order and k * k <= order:
+            for _ in range(e):
+                for r in range(k):
+                    coeffs[r::k] = accumulate(coeffs[r::k])
             continue
         factor = _geometric_power_coeffs(e, order // k)
         new = coeffs[:]

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -92,6 +93,53 @@ def test_c_table_csv_footer(capsys):
     assert lines[0] == "partition,c"
     assert lines[1:3] == ["2^1,2", "1^2,-1"]
     assert lines[3].startswith("#") and "ok" in lines[3]
+
+
+def counting_c(monkeypatch):
+    """The n of each call of `partitions._c_closed`, which its callers look up when they run."""
+    calls = []
+    real_c = partitions._c_closed
+
+    def counted(n, parts, dfact):
+        calls.append(n)
+        return real_c(n, parts, dfact)
+
+    monkeypatch.setattr(partitions, "_c_closed", counted)
+    return calls
+
+
+def test_c_table_computes_c_only_for_the_rows_it_prints(capsys, monkeypatch):
+    # the walk computes no c: CSV and JSON compute it once for each of the p(12) = 77
+    # rows, text at most once in each of its two passes
+    calls = counting_c(monkeypatch)
+    for fmt in ("csv", "json", "text"):
+        calls.clear()
+        assert run_cli(capsys, "c-table", "--max-n", "12", "--format", fmt)[0] == EXIT_OK
+        most = 154 if fmt == "text" else 77
+        assert calls == [12] * len(calls) and 77 <= len(calls) <= most, fmt
+
+
+def test_text_reads_its_rows_twice_and_refuses_an_iterator():
+    rows = [["a", 1], ["bb", 22]]
+    out = io.StringIO()
+    with pytest.raises(TypeError):
+        cli._emit("text", out, {}, ["x", "y"], iter(rows))
+    assert out.getvalue() == ""  # refused before the header
+    cli._emit("text", out, {}, ["x", "y"], rows)
+    assert out.getvalue() == "x   y\n a   1\nbb  22\n"
+    out = io.StringIO()
+    cli._emit("csv", out, {}, ["x", "y"], iter(rows))  # CSV and JSON read the rows once
+    assert out.getvalue() == "x,y\na,1\nbb,22\n"
+
+
+def test_c_table_text_is_byte_stable(capsys):
+    # sha256 of the text the one-pass emitter wrote when it kept every cell string
+    digests = {20: "6ae9b8bf25a6da5a2d44fe8b5db319edeedb5848a1d0f8ab74b945bef698e183",
+               31: "c953511010dc908b643a3ddb69c9aca46f6b99ec68900d96c4703972d77cc9ad"}
+    for n, digest in digests.items():
+        code, out, err = run_cli(capsys, "c-table", "--max-n", str(n))
+        assert (code, err) == (EXIT_OK, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, n
 
 
 def test_pd_text_and_csv(capsys):

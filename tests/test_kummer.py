@@ -254,6 +254,23 @@ def test_verify_sigma2_convolution(monkeypatch):
     assert (first.n, first.lhs, first.rhs) == (1, "1", "2")
 
 
+def test_route_2_and_the_single_step_check_compute_c_at_every_node(monkeypatch):
+    # the walk computes no c; its callers compute it where they use it: route 2 at each
+    # of the sum p(n) = 138 nodes up to 10, the single-step check there and once for each
+    # distinct part size of each alpha of two or more parts
+    calls = []
+    real_c = partitions._c_closed
+    monkeypatch.setattr(partitions, "_c_closed",
+                        lambda n, parts, dfact: calls.append(n) or real_c(n, parts, dfact))
+    alphas = [a for n in range(1, 11) for a in enumerate_partitions(n)]
+    assert kummer._ns_table(10, [1] * 11) == [0] + [1] * 10
+    assert len(calls) == len(alphas) == 138
+    calls.clear()
+    assert verify_single_step(10).passed
+    removals = sum(sum(1 for m in a.mult if m) for a in alphas if sum(a.mult) > 1)
+    assert len(calls) == len(alphas) + removals == 412
+
+
 def test_verify_single_step(monkeypatch):
     report = verify_single_step(10)
     assert report.passed

@@ -4,6 +4,7 @@ from math import comb, factorial, prod
 
 import pytest
 
+from kummerchi import partitions
 from kummerchi.dd_partitions import count_pd
 from kummerchi.partitions import (
     Partition,
@@ -62,12 +63,13 @@ def c_by_recursion(mult):
 
 
 def walk_nodes(max_n, table, least=1):
-    """`_strata(max_n, table, least)` as (n, mult, l, D, c, W), with the path read into a tuple."""
-    for n, l, d, c, w, path in _strata(max_n, table, least):
+    """`_strata(max_n, table, least)` as (n, mult, l, D, c, W), with the path read into a tuple
+    and c = `_c_closed(n, l, D)`, which the walk leaves to its callers."""
+    for n, l, d, w, path in _strata(max_n, table, least):
         mult = [0] * path[0][0]
         for i, m in path:
             mult[i - 1] = m
-        yield n, tuple(mult), l, d, c, w
+        yield n, tuple(mult), l, d, _c_closed(n, l, d), w
 
 
 def test_canonical_form_trims_trailing_zeros():
@@ -168,7 +170,7 @@ def test_walk_and_removals_build_canonical_partitions():
         for alpha in iter_partitions(n):
             canon = Partition(alpha.mult)
             assert (alpha.mult, alpha.weight) == (canon.mult, canon.weight) == (canon.mult, n)
-    for n, l, _, _, _, path in _strata(25, [1] * 26):
+    for n, l, _, _, path in _strata(25, [1] * 26):
         sizes = [i for i, _ in path]
         assert sizes == sorted(set(sizes), reverse=True) and all(m > 0 for _, m in path)
         assert (n, l) == (sum(i * m for i, m in path), sum(m for _, m in path))
@@ -274,13 +276,22 @@ def test_walk_matches_the_oracles_up_to_22():
 def test_walk_sums_over_all_weights_equal_the_sums_per_weight():
     table = product_expansion(lambda k: k, 18)
     totals = [0] * 19
-    for n, _, _, c, w, _ in _strata(18, table):
-        totals[n] += c * w
+    for n, l, d, w, _ in _strata(18, table):
+        totals[n] += _c_closed(n, l, d) * w
     for n in range(1, 19):
         alone = sum(c * w for m, _, _, _, c, w in walk_nodes(n, table) if m == n)
         weighted = sum(c_value(a) * prod(table[i] ** m for i, m in enumerate(a.mult, start=1))
                        for a in iter_partitions(n))
         assert totals[n] == alone == weighted
+
+
+def test_listing_partitions_computes_no_c(monkeypatch):
+    def tripped(*args):
+        raise AssertionError("computed c")
+
+    monkeypatch.setattr(partitions, "_c_closed", tripped)
+    assert len(enumerate_partitions(12)) == 77
+    assert sum(1 for _ in iter_partitions(20)) == 627
 
 
 def test_walk_visits_each_partition_of_each_weight_once():

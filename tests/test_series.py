@@ -1,6 +1,7 @@
 import random
 from decimal import Decimal
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -111,6 +112,45 @@ def test_product_expansion_matches_exp_of_dilogarithm_form():
             for j in range(1, order // k + 1):
                 u[k * j] += Fraction(e[k], j)
         assert exp_coefficients(u) == via_product
+
+
+def divisor_convolution(exponent, order):
+    """prod (1 - q^k)^(-e_k) to q^order by n F_n = sum_m a_m F_(n-m), a_m = sum_(k | m) k e_k.
+
+    The sigma_2 convolution when e_k = k; a test-only oracle, one integer recursion.
+    """
+    a = [0] * (order + 1)
+    for k in range(1, order + 1):
+        e = exponent(k)
+        for m in range(k, order + 1, k):
+            a[m] += k * e
+    f = [1] + [0] * order
+    for n in range(1, order + 1):
+        f[n], rem = divmod(sum(map(mul, a[1:n + 1], reversed(f[:n]))), n)
+        assert rem == 0
+    return f
+
+
+# e_k = 1 and e_k = k take the prefix sums for k^2 <= order and the slices above;
+# e_k = -1 takes the slices throughout; the mixed exponents, in -4..6, take both at
+# small k and the slices for e_k * k > order
+EXPONENTS = {"1": lambda k: 1, "k": lambda k: k, "-1": lambda k: -1,
+             "mixed": lambda k: 7 * k % 11 - 4}
+
+
+@pytest.mark.parametrize("name", EXPONENTS)
+def test_product_expansion_full_tables_through_both_branches(name):
+    exponent = EXPONENTS[name]
+    for order in (0, 1, 5, 100, 2000):
+        table = product_expansion(exponent, order)
+        assert table == divisor_convolution(exponent, order), order
+        if order <= 100:
+            u = [Fraction(0)] * (order + 1)
+            for k in range(1, order + 1):
+                for j in range(1, order // k + 1):
+                    u[k * j] += Fraction(exponent(k), j)
+            assert exp_coefficients(u) == table, order
+    assert divisor_convolution(EXPONENTS["k"], 6) == [1, 1, 3, 6, 13, 24, 48]
 
 
 def test_log_coefficients_examples():

@@ -8,15 +8,15 @@ identities (exp/log over Q) that tie the two together.  No floats,
 no rounding, no tolerances.
 
 Importing the package loads none of its modules.  The public names,
-`__all__` and the four modules resolve on first use (PEP 562), so
-`kummerchi --version` and `kummerchi pd` load only what they run: the
-command line and `dd_partitions` with `series`, not `kummer`,
-`partitions`, `fractions` or `decimal`.
+`__all__` and the seven modules resolve on first use (PEP 562), so each
+command loads only what it runs: `kummerchi --version` the command line
+and `dd_partitions` with `series`; `table` at g = 3 `kummer` and
+`fractions` besides, not the partition walk, either P_d count or `verify`.
 """
 
 __version__ = "0.1.0"
 
-_MODULES = ("partitions", "dd_partitions", "series", "kummer")
+_MODULES = ("partitions", "dd_partitions", "layered", "boxsets", "series", "kummer", "verify")
 
 
 def __getattr__(name: str):

@@ -14,9 +14,9 @@ names what sets it instead.  Rationals are printed exactly, as "p/q"
 (or "p" when integral); output for fixed inputs is byte-stable.
 
 Each command imports what it runs when it runs.  The parser needs only
-`dd_partitions` (and `series`, which it imports) for its caps, so `pd`
-and `--version` load nothing else; `table`, `c-table` and `verify` load
-`kummer` and `partitions` too.
+`dd_partitions` (and `series`, which it imports) for its caps, so
+`--version` loads nothing else; `pd` adds the P_d counts it runs, `table`
+and `c-table` add `kummer` and what their route needs, `verify` all.
 
 Every format writes each row as it is made, and `c-table` walks the
 partitions one at a time and holds none of its rows, so its memory stays
@@ -221,7 +221,7 @@ def cmd_pd(args, out=None) -> int:
 
 
 def cmd_verify(args, out=None) -> int:
-    from .kummer import run_all_verifiers
+    from .verify import run_all_verifiers
 
     out = out or sys.stdout
     reports = run_all_verifiers(args.max_n, args.genus, enum_cap=args.enum_cap)

@@ -15,17 +15,11 @@ import sys
 import time
 from fractions import Fraction
 
-from kummerchi.dd_partitions import count_pd, count_pd_alt, enumerate_pd
-from kummerchi.kummer import (
-    chi_kummer_closed,
-    chi_kummer_stratified,
-    dt_invariant,
-    ns_from_c,
-    partition_count_table,
-    sigma,
-    verify_first_order,
-    verify_single_step,
-)
+from kummerchi.boxsets import count_pd_alt, enumerate_pd
+from kummerchi.dd_partitions import partition_count_table
+from kummerchi.kummer import chi_kummer_closed, chi_kummer_stratified, dt_invariant, ns_from_c, sigma
+from kummerchi.layered import count_pd
+from kummerchi.verify import verify_first_order, verify_single_step
 from kummerchi.series import log_coefficients, product_expansion
 from series_oracle import exp_coefficients
 

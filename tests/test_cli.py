@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from kummerchi import cli, kummer, partitions
+from kummerchi import cli, kummer, partitions, verify
 from kummerchi.cli import (
     EXIT_CAP,
     EXIT_IDENTITY_FAILURE,
@@ -15,7 +15,9 @@ from kummerchi.cli import (
     build_parser,
     main,
 )
-from kummerchi.kummer import Check, Report, kummer_rows, partition_count_table
+from kummerchi.dd_partitions import partition_count_table
+from kummerchi.kummer import kummer_rows
+from kummerchi.verify import Check, Report
 
 
 def run_cli(capsys, *argv):
@@ -356,8 +358,8 @@ def test_failed_identities_render_in_every_format(capsys, monkeypatch):
             Check("single-step", 3, False, "-3/2", "3/2", detail="alpha=1^1 2^1"),
         )),
     ]
-    # cmd_verify imports run_all_verifiers from kummer when it runs
-    monkeypatch.setattr(kummer, "run_all_verifiers", lambda max_n, genus, enum_cap=None: reports)
+    # cmd_verify imports run_all_verifiers from verify when it runs
+    monkeypatch.setattr(verify, "run_all_verifiers", lambda max_n, genus, enum_cap=None: reports)
     failures = [
         {"identity": "chi-series", "n": 2, "g": 2, "detail": "", "ok": False,
          "lhs": "24", "rhs": "25"},

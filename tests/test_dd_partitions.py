@@ -7,20 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kummerchi import dd_partitions
+from kummerchi import boxsets, dd_partitions, layered
+from kummerchi.boxsets import DdPartition, count_pd_alt, count_pd_alt_table, enumerate_pd
 from kummerchi.dd_partitions import (
     DEFAULT_ENUM_CAPS,
-    DdPartition,
     EnumerationCapError,
     check_enumeration_cap,
-    count_pd,
-    count_pd_alt,
-    count_pd_alt_table,
-    count_pd_table,
-    enumerate_pd,
     enumeration_cap,
+    partition_count_table,
 )
-from kummerchi.kummer import partition_count_table
+from kummerchi.layered import count_pd, count_pd_table
 from kummerchi.series import product_expansion
 
 
@@ -178,11 +174,11 @@ def test_layered_count_is_symmetric_in_the_coordinates():
     # permuting the coordinates maps the chains inside a bound onto those
     # inside the permuted bound; a swap and a cycle generate every permutation
     for d, n, known in ((3, 10, P3_KNOWN[10]), (4, 8, count_pd_alt(4, 8))):
-        stair, succs = dd_partitions._cells(d, n)
+        stair, succs = layered._cells(d, n)
         cells = _staircase_cells(d, n)
         assert stair[n] == (1 << len(cells)) - 1
         stored = {}
-        assert dd_partitions._chain_count(stair[n], n, stored, stair, succs)[n] == known
+        assert layered._chain_count(stair[n], n, stored, stair, succs)[n] == known
         assert len(stored) > 1
         swap, cycle = (1, 0, *range(2, d)), (*range(1, d), 0)
         images = {bound: [_permuted(bound, sigma, cells) for sigma in (swap, cycle)]
@@ -191,7 +187,7 @@ def test_layered_count_is_symmetric_in_the_coordinates():
         for bound, counts in stored.items():
             top = len(counts) - 1
             for image in images[bound]:
-                assert dd_partitions._chain_count(image, top, {}, stair, succs) == counts
+                assert layered._chain_count(image, top, {}, stair, succs) == counts
 
 
 class _RecordingMemo(dict):
@@ -207,10 +203,10 @@ class _RecordingMemo(dict):
 
 
 def test_one_pass_table_under_both_memo_rules():
-    stair, succs = dd_partitions._cells(3, 10)
+    stair, succs = layered._cells(3, 10)
 
     def chain_count(bound, m, memo):
-        return dd_partitions._chain_count(bound, m, memo, stair, succs)
+        return layered._chain_count(bound, m, memo, stair, succs)
 
     # the chains in the staircase of 7 of size <= 7 are all solid partitions of those sizes
     fresh = chain_count(stair[7], 10, {})
@@ -265,9 +261,9 @@ def test_layered_tables_agree_with_the_dfs(calls):
 def test_layered_memo_size_at_14():
     # one list per clipped bound: 455 entries, where a memo keyed on
     # (bound, remaining weight) held 2,220
-    stair, succs = dd_partitions._cells(3, 14)
+    stair, succs = layered._cells(3, 14)
     memo = {}
-    table = dd_partitions._chain_count(stair[14], 14, memo, stair, succs)
+    table = layered._chain_count(stair[14], 14, memo, stair, succs)
     assert table[12:] == [13426, 27248, 54804]
     assert len(memo) <= 600
 
@@ -282,8 +278,8 @@ def test_layered_count_refuses_past_its_fixed_caps(monkeypatch):
     def no_counting(*args):
         raise AssertionError("built a bound or counted before refusing")
 
-    monkeypatch.setattr(dd_partitions, "_cells", no_counting)
-    monkeypatch.setattr(dd_partitions, "_chain_count", no_counting)
+    monkeypatch.setattr(layered, "_cells", no_counting)
+    monkeypatch.setattr(layered, "_chain_count", no_counting)
     cases = [(d, cap + 1, cap) for d, cap in caps.items()]
     # a d between two keys takes the cap of the next key up; past the last, a cap of 1
     cases += [(3, 30, caps[3]), (2, 60, caps[2]), (11, 10, caps[12]), (top + 1, 2, 1)]
@@ -349,8 +345,8 @@ def test_enumeration_order_is_lex_order_of_sorted_boxes():
 def test_the_walk_visits_only_ideals_of_at_most_n_minus_2_boxes():
     # the sizes n - 1 and n are counted from their grandparents: sum P_3(0..10), where
     # a walk that visited every ideal below n boxes made sum P_3(0..11) = 12318 steps
-    assert sum(1 for _ in dd_partitions._lex_walk(3, 12)) == 5818 == sum(count_pd_table(3, 10))
-    sizes = [len(boxes) for boxes, _, _ in dd_partitions._lex_walk(2, 7)]
+    assert sum(1 for _ in boxsets._lex_walk(3, 12)) == 5818 == sum(count_pd_table(3, 10))
+    sizes = [len(boxes) for boxes, _, _ in boxsets._lex_walk(2, 7)]
     assert max(sizes) == 5 and len(sizes) == sum(count_pd_table(2, 5))
 
 
@@ -426,8 +422,8 @@ def test_count_pd_refuses_past_recursion_depth(monkeypatch):
         raise AssertionError("built a bound or counted before refusing")
 
     with monkeypatch.context() as patch:
-        patch.setattr(dd_partitions, "_cells", no_counting)
-        patch.setattr(dd_partitions, "_chain_count", no_counting)
+        patch.setattr(layered, "_cells", no_counting)
+        patch.setattr(layered, "_chain_count", no_counting)
         with pytest.raises(EnumerationCapError, match="^counting .* partition_count_table") as info:
             count_pd(1, 1200)
     assert (info.value.d, info.value.n) == (1, 1200)

@@ -5,20 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kummerchi import kummer, partitions
-from kummerchi.dd_partitions import EnumerationCapError, count_pd, partition_count_rows
+from kummerchi import kummer, partitions, verify
+from kummerchi.dd_partitions import (EnumerationCapError, partition_count_rows,
+                                     partition_count_table)
 from kummerchi.kummer import (
-    Check,
     KummerRow,
-    Report,
     chi_kummer_closed,
     chi_kummer_stratified,
     dt_invariant,
     kummer_rows,
     ns_from_c,
-    partition_count_table,
-    run_all_verifiers,
     sigma,
+)
+from kummerchi.layered import count_pd
+from kummerchi.verify import (
+    Check,
+    Report,
+    run_all_verifiers,
     verify_chi_series,
     verify_first_order,
     verify_sigma2_convolution,
@@ -246,8 +249,8 @@ def test_verify_sigma2_convolution(monkeypatch):
     assert report.passed
     assert report.count == 12
     # sigma_2(1) one too large spoils every right-hand side
-    real_sigma = kummer.sigma
-    monkeypatch.setattr(kummer, "sigma", lambda k, n: real_sigma(k, n) + (n == 1))
+    real_sigma = verify.sigma
+    monkeypatch.setattr(verify, "sigma", lambda k, n: real_sigma(k, n) + (n == 1))
     failures = verify_sigma2_convolution(12).failures()
     assert [c.n for c in failures] == list(range(1, 13))
     first = failures[0]
@@ -256,8 +259,8 @@ def test_verify_sigma2_convolution(monkeypatch):
 
 def test_route_2_and_the_single_step_check_compute_c_at_every_node(monkeypatch):
     # the walk computes no c; its callers compute it where they use it: route 2 at each
-    # of the sum p(n) = 138 nodes up to 10, the single-step check there and once for each
-    # distinct part size of each alpha of two or more parts
+    # of the sum p(n) = 138 nodes up to 10, the single-step check at each alpha of two or
+    # more parts, the 10 single-part alpha skipped, and once for each of its distinct sizes
     calls = []
     real_c = partitions._c_closed
     monkeypatch.setattr(partitions, "_c_closed",
@@ -267,8 +270,9 @@ def test_route_2_and_the_single_step_check_compute_c_at_every_node(monkeypatch):
     assert len(calls) == len(alphas) == 138
     calls.clear()
     assert verify_single_step(10).passed
-    removals = sum(sum(1 for m in a.mult if m) for a in alphas if sum(a.mult) > 1)
-    assert len(calls) == len(alphas) + removals == 412
+    composite = [a for a in alphas if sum(a.mult) > 1]
+    removals = sum(sum(1 for m in a.mult if m) for a in composite)
+    assert len(calls) == len(composite) + removals == 402
 
 
 def test_verify_single_step(monkeypatch):
@@ -298,7 +302,7 @@ def test_verify_chi_series_all_supported_genera(monkeypatch):
     assert verify_chi_series(4, 8).passed
     assert verify_chi_series(3, 6).count == 18
     # negated s_n fail all three checks at every n
-    monkeypatch.setattr(kummer, "log_coefficients", lambda t: [-x for x in log_coefficients(t)])
+    monkeypatch.setattr(verify, "log_coefficients", lambda t: [-x for x in log_coefficients(t)])
     failures = verify_chi_series(3, 6).failures()
     assert len(failures) == 18
     assert any(c.detail == "closed-form" for c in failures)
@@ -312,7 +316,7 @@ def test_verify_chi_series_all_supported_genera(monkeypatch):
 
 def test_verify_first_order_fails_every_n_under_a_wrong_logarithm(monkeypatch):
     # negated s_n spoil the eps part at every n >= 1; the eps^0 part at n = 0 still holds
-    monkeypatch.setattr(kummer, "log_coefficients", lambda t: [-x for x in log_coefficients(t)])
+    monkeypatch.setattr(verify, "log_coefficients", lambda t: [-x for x in log_coefficients(t)])
     for g in (1, 2, 3):
         report = verify_first_order(g, 10)
         assert report.count == 11
@@ -397,7 +401,7 @@ def test_run_all_verifiers_solves_each_genus_once(monkeypatch):
         return log_coefficients(counts)
 
     monkeypatch.setattr(partitions, "_strata", counting_walk)
-    monkeypatch.setattr(kummer, "log_coefficients", counting_log)
+    monkeypatch.setattr(verify, "log_coefficients", counting_log)
     reports = run_all_verifiers(8, [1, 2, 3])
     assert all(r.passed for r in reports)
     # the single-step check walks once, unweighted; then one stratified walk, weighted
@@ -424,16 +428,16 @@ def test_partition_count_rows_flags_and_routes():
 
 
 def test_cross_check_walks_once_per_table(monkeypatch):
-    from kummerchi import dd_partitions, partitions
+    from kummerchi import boxsets
 
-    real = dd_partitions.count_pd_alt_table
+    real = boxsets.count_pd_alt_table
     calls = []
 
     def counted(d, max_n, enum_cap=None):
         calls.append((d, max_n, enum_cap))
         return real(d, max_n, enum_cap=enum_cap)
 
-    monkeypatch.setattr(dd_partitions, "count_pd_alt_table", counted)
+    monkeypatch.setattr(boxsets, "count_pd_alt_table", counted)
     partition_count_rows(3, 13)
     assert calls == [(3, 12, None)]
     calls.clear()
@@ -453,12 +457,12 @@ def test_cross_check_walks_once_per_table(monkeypatch):
 
 
 def test_p_d_mismatch_names_both_counts(monkeypatch):
-    from kummerchi import dd_partitions, partitions
+    from kummerchi import boxsets
 
-    real = dd_partitions.count_pd_alt_table
+    real = boxsets.count_pd_alt_table
     wrong_at = []
     monkeypatch.setattr(
-        dd_partitions,
+        boxsets,
         "count_pd_alt_table",
         lambda d, max_n, enum_cap=None: [
             7 if n in wrong_at else v for n, v in enumerate(real(d, max_n, enum_cap=enum_cap))

@@ -14,7 +14,7 @@ import tracemalloc
 
 import pytest
 
-from kummerchi import cli, dd_partitions, kummer
+from kummerchi import cli, kummer, layered
 
 MB = 1 << 20  # MiB
 
@@ -62,7 +62,7 @@ def test_layered_count_at_the_d30_cap_holds_little():
     # with nested tuples for ideals, the memo and slice caches of (30, 5) peaked
     # at 76 MiB; as ints over the cells of the staircase, 0.4 MiB
     values = []
-    peak = traced_peak(lambda: values.append(dd_partitions.count_pd_table(30, 5)))
+    peak = traced_peak(lambda: values.append(layered.count_pd_table(30, 5)))
     assert values == [[1, 1, 31, 496, 5921, 60791]]
     assert peak < 4 * MB, f"{peak / MB:.2f} MiB"
 
@@ -72,7 +72,7 @@ def test_layered_count_keeps_nothing_after_it_returns():
     # a count in another d, they held 459 KiB after this table
     tracemalloc.start()
     try:
-        assert dd_partitions.count_pd_table(3, 18)[18] == 805124
+        assert layered.count_pd_table(3, 18)[18] == 805124
         gc.collect()
         held = tracemalloc.get_traced_memory()[0]
     finally:

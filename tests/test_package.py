@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -6,11 +7,11 @@ from pathlib import Path
 import pytest
 
 import kummerchi
-from kummerchi import dd_partitions, kummer, partitions, series
+from kummerchi import boxsets, dd_partitions, kummer, layered, partitions, series, verify
 
 
 def test_package_exports_every_module_list_once():
-    modules = (partitions, dd_partitions, series, kummer)
+    modules = (partitions, dd_partitions, layered, boxsets, series, kummer, verify)
     names = [name for module in modules for name in module.__all__]
     assert kummerchi.__all__ == [*names, "__version__"]
     assert len(set(kummerchi.__all__)) == len(kummerchi.__all__)
@@ -42,19 +43,62 @@ def test_importing_the_package_loads_no_module():
     assert _fresh("-c", probe).stdout == "[]\n"
 
 
-@pytest.mark.parametrize("argv", [["--version"], ["pd", "--dim", "3", "--max-n", "3"]])
-def test_version_and_pd_load_only_what_they_run(argv):
-    # `python -m kummerchi argv`, then the modules it left in sys.modules, on stderr
+_START = {"kummerchi.cli", "kummerchi.dd_partitions", "kummerchi.series"}
+_RATIONALS = {"fractions", "decimal"}  # `fractions` imports `decimal`
+_FIRST_WORDS = {"--version": "kummerchi ", "pd": "n  P_", "table": "n  sigma2", "c-table": "partition",
+                "verify": "PASS  "}
+_LOADS = [
+    (["--version"], _START),
+    (["pd", "--dim", "3", "--max-n", "3"], _START | {"kummerchi.layered", "kummerchi.boxsets"}),
+    (["pd", "--dim", "1", "--max-n", "3"], _START | {"kummerchi.boxsets"}),
+    (["pd", "--dim", "2", "--max-n", "3"], _START | {"kummerchi.boxsets"}),
+    (["table", "--max-n", "3"], _START | {"kummerchi.kummer"} | _RATIONALS),
+    (["table", "--genus", "2", "--max-n", "3"],
+     _START | {"kummerchi.kummer", "kummerchi.partitions"} | _RATIONALS),
+    (["c-table", "--max-n", "3"], _START | {"kummerchi.kummer", "kummerchi.partitions"}),
+    # g = 4 reads P_3, so the layered count and its DFS check load as well
+    (["verify", "--max-n", "3", "--genus", "1,2,3,4"],
+     {f"kummerchi.{name}" for name in kummerchi._MODULES} | {"kummerchi.cli"} | _RATIONALS),
+]
+
+
+@pytest.mark.parametrize("argv, loaded", _LOADS, ids=[" ".join(argv) for argv, _ in _LOADS])
+def test_each_command_loads_only_what_it_runs(argv, loaded):
+    # `python -m kummerchi argv`, then the package modules, `fractions` and `decimal`
+    # it left in sys.modules, on stderr
     probe = ("import runpy, sys\n"
              "try:\n"
              "    runpy.run_module('kummerchi', run_name='__main__', alter_sys=True)\n"
              "except SystemExit as exit:\n"
              "    assert not exit.code, exit.code\n"
-             "print(sorted({'kummerchi.cli', 'kummerchi.kummer', 'kummerchi.partitions',\n"
-             "              'fractions', 'decimal'} & set(sys.modules)), file=sys.stderr)")
+             "print(sorted(m for m in sys.modules if m.startswith('kummerchi.')\n"
+             "             or m in ('fractions', 'decimal')), file=sys.stderr)")
     proc = _fresh("-c", probe, *argv)
-    assert proc.stdout.startswith("n  P_3(n)" if argv[0] == "pd" else "kummerchi ")
-    assert proc.stderr == "['kummerchi.cli']\n"
+    assert proc.stdout.startswith(_FIRST_WORDS[argv[0]])
+    assert proc.stderr == f"{sorted(loaded)}\n"
+
+
+def _imports(module: str) -> set[str]:
+    """The package modules that `module`'s source imports, at the top or inside a function."""
+    tree = ast.parse(Path(kummerchi.__file__).with_name(f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):  # the package imports itself relatively
+            names = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+            assert not any(name.startswith("kummerchi") for name in names), (module, names)
+    return found
+
+
+def test_the_routes_and_their_checks_share_no_code_by_import():
+    # the two P_d counts check each other, and route 3's logarithm checks route 2
+    assert not _imports("layered") & {"boxsets", "series"}
+    assert not _imports("boxsets") & {"layered", "series"}
+    assert "series" not in _imports("partitions")
+    routes = [m for m in kummerchi._MODULES if m != "verify"]
+    assert {m: _imports(m) for m in routes if "verify" in _imports(m)} == {}
+    assert _imports("verify") >= {"kummer", "partitions", "series"}  # the parser sees them
 
 
 def test_star_import_binds_every_public_name():

@@ -5,7 +5,7 @@ from math import comb, factorial, prod
 import pytest
 
 from kummerchi import partitions
-from kummerchi.dd_partitions import count_pd
+from kummerchi.layered import count_pd
 from kummerchi.partitions import (
     Partition,
     _c_closed,

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kummerchi import cli, dd_partitions, kummer, partitions, series
+from kummerchi import boxsets, cli, dd_partitions, kummer, layered, partitions, series, verify
 from kummerchi.cli import EXIT_CAP
 from kummerchi.dd_partitions import (_HIGHER_DIM_CAP, _LAYERED_CAPS, _PRODUCT_CAP,
                                      DEFAULT_ENUM_CAPS, EnumerationCapError)
@@ -27,8 +27,8 @@ class Tripped(Exception):
     """A kernel was called: the request got as far as counting."""
 
 
-_KERNELS = ((partitions, "_strata"), (dd_partitions, "product_expansion"), (dd_partitions, "_cells"),
-            (dd_partitions, "_chain_count"), (dd_partitions, "_lex_walk"))
+_KERNELS = ((partitions, "_strata"), (dd_partitions, "product_expansion"), (layered, "_cells"),
+            (layered, "_chain_count"), (boxsets, "_lex_walk"))
 
 
 def _trip(*args, **kwargs):
@@ -160,7 +160,7 @@ def test_a_non_integer_dimension_is_refused_before_counting(monkeypatch):
                  lambda: dd_partitions.partition_count_table(0.5, 5),
                  lambda: dd_partitions.partition_count_rows(1.5, 5),
                  lambda: kummer.ns_from_c(4, 1.5),
-                 lambda: kummer.run_all_verifiers(5, [1.5])):
+                 lambda: verify.run_all_verifiers(5, [1.5])):
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             call()
 
@@ -169,11 +169,11 @@ def test_a_genus_below_1_is_refused_before_counting(monkeypatch):
     # every genus is checked before the P_2 table and the single-step walk, which come
     # first among run_all_verifiers's counts, and the error names g, not d = g - 1
     _tripwires(monkeypatch)
-    for call in (lambda: kummer.run_all_verifiers(40, [0]),
-                 lambda: kummer.run_all_verifiers(40, [1, 2, -1]),
+    for call in (lambda: verify.run_all_verifiers(40, [0]),
+                 lambda: verify.run_all_verifiers(40, [1, 2, -1]),
                  lambda: kummer.kummer_rows(3, g=0),
-                 lambda: kummer.verify_chi_series(0, 5),
-                 lambda: kummer.verify_first_order(0, 5)):
+                 lambda: verify.verify_chi_series(0, 5),
+                 lambda: verify.verify_first_order(0, 5)):
         with pytest.raises(ValueError, match="^g must be >= 1$"):
             call()
 
@@ -182,18 +182,18 @@ def test_a_max_n_below_1_or_not_an_integer_is_refused_before_counting(monkeypatc
     # no verifier answers with reports of no checks, and each refuses in kummer_rows's words;
     # a non-integer max_n is refused before a kernel multiplies a list by it
     _tripwires(monkeypatch)
-    for call in (lambda: kummer.verify_single_step(-5),
-                 lambda: kummer.verify_sigma2_convolution(-2),
-                 lambda: kummer.verify_chi_series(1, 0),
-                 lambda: kummer.verify_first_order(2, 0),
-                 lambda: kummer.run_all_verifiers(0, [1, 2]),
+    for call in (lambda: verify.verify_single_step(-5),
+                 lambda: verify.verify_sigma2_convolution(-2),
+                 lambda: verify.verify_chi_series(1, 0),
+                 lambda: verify.verify_first_order(2, 0),
+                 lambda: verify.run_all_verifiers(0, [1, 2]),
                  lambda: kummer.kummer_rows(0)):
         with pytest.raises(ValueError, match="^max_n must be >= 1$"):
             call()
-    for call in (lambda: kummer.verify_single_step(2.5),
-                 lambda: kummer.verify_sigma2_convolution(2.5),
-                 lambda: kummer.verify_chi_series(2, 2.5),
-                 lambda: kummer.run_all_verifiers(2.5, [1]),
+    for call in (lambda: verify.verify_single_step(2.5),
+                 lambda: verify.verify_sigma2_convolution(2.5),
+                 lambda: verify.verify_chi_series(2, 2.5),
+                 lambda: verify.run_all_verifiers(2.5, [1]),
                  lambda: kummer.ns_from_c(2.5, 3),
                  lambda: dd_partitions.partition_count_table(2, 3.5),
                  lambda: dd_partitions.partition_count_rows(3, 3.5)):
@@ -205,21 +205,21 @@ def test_verify_single_step_refuses_past_the_walks_cap(monkeypatch):
     # as every other verifier that walks the partitions does, and enum_cap lifts it
     _tripwires(monkeypatch)
     with pytest.raises(EnumerationCapError, match="1-dimensional partitions of 41 exceeds"):
-        kummer.verify_single_step(41)
+        verify.verify_single_step(41)
     with pytest.raises(Tripped):
-        kummer.verify_single_step(41, enum_cap=41)
+        verify.verify_single_step(41, enum_cap=41)
 
 
 def test_a_non_integer_or_negative_n_is_refused_at_the_call(monkeypatch):
     # before a kernel multiplies a list by it, and a generator raises at the call
     _tripwires(monkeypatch)
     with pytest.raises(ValueError, match="^n must be nonnegative$"):
-        dd_partitions.enumerate_pd(2, -1)
-    for call in (lambda: dd_partitions.count_pd_alt_table(1, 2.5),
-                 lambda: dd_partitions.count_pd_table(2, 2.5),
-                 lambda: dd_partitions.enumerate_pd(2, 2.5),
+        boxsets.enumerate_pd(2, -1)
+    for call in (lambda: boxsets.count_pd_alt_table(1, 2.5),
+                 lambda: layered.count_pd_table(2, 2.5),
+                 lambda: boxsets.enumerate_pd(2, 2.5),
                  lambda: partitions.iter_partitions(2.5),
-                 lambda: dd_partitions.DdPartition(1.5, [])):
+                 lambda: boxsets.DdPartition(1.5, [])):
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             call()
 
@@ -241,11 +241,11 @@ def test_an_enum_cap_below_1_or_not_an_integer_is_refused(monkeypatch):
     _tripwires(monkeypatch)
     for enum_cap, error in ((-3, ValueError), (0, ValueError), (2.5, TypeError), ("5", TypeError)):
         for call in (lambda: dd_partitions.partition_count_rows(2, 5, enum_cap=enum_cap),
-                     lambda: dd_partitions.count_pd_alt_table(2, 3, enum_cap=enum_cap),
+                     lambda: boxsets.count_pd_alt_table(2, 3, enum_cap=enum_cap),
                      lambda: dd_partitions.check_enumeration_cap(1, 3, enum_cap),
                      lambda: dd_partitions.partition_count_table(3, 5, enum_cap=enum_cap),
                      lambda: kummer.kummer_rows(5, 2, enum_cap),
-                     lambda: kummer.run_all_verifiers(5, [1], enum_cap)):
+                     lambda: verify.run_all_verifiers(5, [1], enum_cap)):
             with pytest.raises(error):
                 call()
     assert dd_partitions._cap(2, None) == 16
@@ -270,9 +270,9 @@ def test_library_entry_points_refuse_as_verify_does(monkeypatch):
     disagree = []
     for g, max_n, enum_cap in product([1, 2, 3, 4, 5, 6, 7, 31],
                                       [1, 2, 5, 6, 10, 11, 12, 13, 16, 40, 41], [None, 13, 41]):
-        expected = _outcome(lambda: kummer.run_all_verifiers(max_n, [g], enum_cap))
-        calls = {"verify_chi_series": lambda: kummer.verify_chi_series(g, max_n, enum_cap),
-                 "verify_first_order": lambda: kummer.verify_first_order(g, max_n, enum_cap),
+        expected = _outcome(lambda: verify.run_all_verifiers(max_n, [g], enum_cap))
+        calls = {"verify_chi_series": lambda: verify.verify_chi_series(g, max_n, enum_cap),
+                 "verify_first_order": lambda: verify.verify_first_order(g, max_n, enum_cap),
                  "ns_from_c": lambda: kummer.ns_from_c(max_n, g, enum_cap=enum_cap)}
         if g != 3:
             calls["kummer_rows"] = lambda: kummer.kummer_rows(max_n, g, enum_cap)

@@ -12,6 +12,8 @@ Importing the package loads none of its modules.  The public names,
 command loads only what it runs: `kummerchi --version` the command line
 and `dd_partitions` with `series`; `table` at g = 3 `kummer` and
 `fractions` besides, not the partition walk, either P_d count or `verify`.
+A public name loads `_MODULES` up to its own (`c_value`: `partitions` alone);
+`__all__` and an unknown name load all seven.
 """
 
 __version__ = "0.1.0"
@@ -23,7 +25,7 @@ def __getattr__(name: str):
     if name in _MODULES:
         __import__(f"{__name__}.{name}")  # binds it here, so no module is asked for twice
         return globals()[name]
-    modules = [__getattr__(module) for module in _MODULES]
+    modules = map(__getattr__, _MODULES)  # lazy: a name loads the modules up to its own
     if name == "__all__":
         return [*(public for module in modules for public in module.__all__), "__version__"]
     for module in modules:

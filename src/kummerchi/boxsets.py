@@ -19,10 +19,9 @@ tuples.  Every entry point is subject to the enumeration cap.
 
 from __future__ import annotations
 
-from operator import index
 from typing import Iterable, Iterator
 
-from .dd_partitions import _validate_dn, check_enumeration_cap
+from .dd_partitions import _at_least, _validate_dn, check_enumeration_cap
 
 __all__ = ["DdPartition", "count_pd_alt", "count_pd_alt_table", "enumerate_pd"]
 
@@ -38,8 +37,7 @@ class DdPartition:
     __slots__ = ("dim", "boxes")
 
     def __init__(self, dim: int, boxes: Iterable[tuple[int, ...]]):
-        if index(dim) < 1:  # TypeError on non-integers
-            raise ValueError("dimension must be a positive integer")
+        _at_least(dim, 1, "dimension must be a positive integer")
         cells = frozenset(tuple(b) for b in boxes)
         k = dim + 1
         for cell in cells:

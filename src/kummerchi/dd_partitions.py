@@ -84,11 +84,18 @@ def enumeration_cap(d: int) -> int:
     return DEFAULT_ENUM_CAPS.get(index(d), _HIGHER_DIM_CAP)  # TypeError on non-integers
 
 
+def _at_least(value: int, least: int, message: str) -> int:
+    """`index(value)`, so a non-integer raises `TypeError`; `ValueError(message)` below `least`."""
+    if (value := index(value)) < least:
+        raise ValueError(message)
+    return value
+
+
 def _cap(d: int, enum_cap: int | None) -> int:
     """The cap on n in dimension d: `enum_cap` if given, which must be an integer >= 1."""
-    if enum_cap is not None and index(enum_cap) < 1:  # TypeError on non-integers
-        raise ValueError("enum_cap must be a positive integer")
-    return enumeration_cap(d) if enum_cap is None else enum_cap
+    if enum_cap is None:
+        return enumeration_cap(d)
+    return _at_least(enum_cap, 1, "enum_cap must be a positive integer")
 
 
 def check_enumeration_cap(d: int, n: int, enum_cap: int | None = None) -> None:
@@ -104,10 +111,9 @@ def check_enumeration_cap(d: int, n: int, enum_cap: int | None = None) -> None:
 
 
 def _validate_dn(d: int, n: int) -> None:
-    if index(d) < 1:  # TypeError on non-integers, before a kernel multiplies a list by them
-        raise ValueError("dimension d must be a positive integer")
-    if index(n) < 0:
-        raise ValueError("n must be nonnegative")
+    """Refuse d < 1 and n < 0, and non-integers before a kernel multiplies a list by them."""
+    _at_least(d, 1, "dimension d must be a positive integer")
+    _at_least(n, 0, "n must be nonnegative")
 
 
 def _check_layered_cap(d: int, n: int) -> None:
@@ -131,10 +137,8 @@ def _pd_plan(d: int, max_n: int, top: int | None, enum_cap: int | None) -> Calla
     layered table and none of a product), then past the cap of d's route.
     The call runs the route's kernel, then the DFS check, whose error names the route.
     """
-    if (d := index(d)) < 0:  # TypeError on non-integers, which would take another d's route
-        raise ValueError("d must be nonnegative")
-    if index(max_n) < 0:
-        raise ValueError("max_n must be nonnegative")
+    d = _at_least(d, 0, "d must be nonnegative")  # a non-integer would take another d's route
+    _at_least(max_n, 0, "max_n must be nonnegative")
     if top is None:
         top = max_n if d >= 3 else -1
     check_enumeration_cap(d, top, enum_cap)
@@ -178,7 +182,6 @@ def partition_count_rows(d: int, max_n: int,
     checks, is max_n clipped to the cap for d <= 3, the rows above it
     unchecked, and max_n for d >= 4, which has no product formula.
     """
-    if d < 1:
-        raise ValueError("d must be a positive integer")
+    _at_least(d, 1, "d must be a positive integer")
     top = max_n if d >= 4 else min(max_n, _cap(d, enum_cap))
     return [(n, value, n <= top) for n, value in enumerate(_pd_plan(d, max_n, top, enum_cap)())]

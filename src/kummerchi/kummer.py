@@ -29,7 +29,7 @@ from operator import index
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from . import dd_partitions
-from .dd_partitions import check_enumeration_cap
+from .dd_partitions import _at_least, check_enumeration_cap
 from .series import log_coefficients
 
 if TYPE_CHECKING:
@@ -48,11 +48,8 @@ __all__ = [
 
 def sigma(k: int, n: int) -> int:
     """Sum of the k-th powers of the divisors of n >= 1, k >= 0, by trial division."""
-    k = index(k)  # TypeError on non-integers, so the sum stays an int
-    if k < 0:
-        raise ValueError("sigma takes a nonnegative power k")
-    if n < 1:
-        raise ValueError("sigma is defined for n >= 1")
+    k = _at_least(k, 0, "sigma takes a nonnegative power k")  # an int, so the sum stays one
+    _at_least(n, 1, "sigma is defined for n >= 1")
     total = 0
     for d in range(1, isqrt(n) + 1):
         if n % d == 0:
@@ -65,24 +62,16 @@ def sigma(k: int, n: int) -> int:
 
 def chi_kummer_closed(n: int) -> int:
     """chi(K^n) of an Abelian threefold: n^5 * sigma_2(n)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _at_least(n, 1, "n must be >= 1")
     return n**5 * sigma(2, n)
-
-
-def _genus(g: int) -> int:
-    if index(g) < 1:  # TypeError on non-integers: no table of P_{g-1} has their dimension
-        raise ValueError("g must be >= 1")
-    return g
 
 
 def _tables(max_n: int, genus: Iterable[int], enum_cap: int | None = None,
             walk: bool = True) -> dict[int, list[int]]:
     """{g - 1: [P_{g-1}(0), ..., P_{g-1}(max_n)]} for each g, each counted once, after
     refusing max_n, each g, the walk's d = 1 cap if `walk`, then every table's caps."""
-    if index(max_n) < 1:  # TypeError on non-integers, ValueError where no n would be checked
-        raise ValueError("max_n must be >= 1")
-    dims = dict.fromkeys(_genus(g) - 1 for g in genus)
+    _at_least(max_n, 1, "max_n must be >= 1")  # below 1 no n would be checked
+    dims = dict.fromkeys(_at_least(g, 1, "g must be >= 1") - 1 for g in genus)
     if walk:
         check_enumeration_cap(1, max_n, enum_cap)
     plans = {d: dd_partitions._pd_plan(d, max_n, None, enum_cap) for d in dims}
@@ -110,9 +99,8 @@ def ns_from_c(
     shorter one raises `ValueError` before the walk, which holds one path, not p(n)
     partitions (`_ns_table`).  n is subject to the d = 1 cap.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _genus(g)
+    _at_least(n, 1, "n must be >= 1")
+    _at_least(g, 1, "g must be >= 1")
     tables = _tables(n, [g] if table is None else [], enum_cap)  # a table given: the cap alone
     if table is None:
         table = tables[g - 1]
@@ -127,7 +115,8 @@ def chi_kummer_stratified(
     n: int, g: int, table: Sequence[int] | None = None, enum_cap: int | None = None
 ) -> int:
     """chi(K^n) for Abelian g-folds via the partition stratification."""
-    return n ** (2 * g - 1) * ns_from_c(n, g, table=table, enum_cap=enum_cap)
+    ns = ns_from_c(n, g, table=table, enum_cap=enum_cap)  # refuses n and g before n ** (2g - 1)
+    return n ** (2 * g - 1) * ns
 
 
 def dt_invariant(n: int) -> Fraction:

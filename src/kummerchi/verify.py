@@ -56,20 +56,12 @@ class Report(NamedTuple):
         return list(self.failed)
 
 
-class _Tally:
-    """One verifier's checks: `count`, which it adds to in bulk, and a `Check` per `fail`."""
-
-    def __init__(self, identity: str, g: int | None = None):
-        self.identity, self.g, self.count, self.failed = identity, g, 0, []
-
-    def fail(self, n: int, lhs, rhs, detail: str = "") -> None:
-        """Keep one failed check, both sides as strings."""
-        self.failed.append(Check(self.identity, n, False, str(lhs), str(rhs), self.g, detail))
-
-    def report(self) -> Report:
-        """The report, named by the identity and, if set, the genus."""
-        name = self.identity if self.g is None else f"{self.identity}(g={self.g})"
-        return Report(name, self.count, tuple(self.failed))
+def _report(identity: str, g: int | None, count: int, failed: list[tuple]) -> Report:
+    """`count` checks of `identity`, named with the genus if given, and a `Check` per failure,
+    each an (n, lhs, rhs) or (n, lhs, rhs, detail) tuple, both sides kept as strings."""
+    name = identity if g is None else f"{identity}(g={g})"
+    return Report(name, count, tuple(Check(identity, n, False, str(lhs), str(rhs), g, *detail)
+                                     for n, lhs, rhs, *detail in failed))
 
 
 def verify_sigma2_convolution(max_n: int) -> Report:
@@ -79,14 +71,13 @@ def verify_sigma2_convolution(max_n: int) -> Report:
 
 def _sigma2_report(p2: list[int]) -> Report:
     """The sigma_2 convolution over the P_2 table given, for n = 1..len(p2) - 1."""
-    tally = _Tally("sigma2-convolution")
-    tally.count = max_n = len(p2) - 1
+    max_n, failed = len(p2) - 1, []
     for n in range(1, max_n + 1):
         lhs = n * p2[n]
         rhs = sum(sigma(2, k) * p2[n - k] for k in range(1, n + 1))
         if lhs != rhs:
-            tally.fail(n, lhs, rhs)
-    return tally.report()
+            failed.append((n, lhs, rhs))
+    return _report("sigma2-convolution", None, max_n, failed)
 
 
 def verify_single_step(max_n: int, enum_cap: int | None = None) -> Report:
@@ -108,7 +99,7 @@ def verify_single_step(max_n: int, enum_cap: int | None = None) -> Report:
     """
     _tables(max_n, [], enum_cap)  # max_n and the walk's cap; no table is counted
     c_closed = partitions._c_closed
-    tally = _Tally("single-step")
+    count, failed = 0, []
 
     def label():  # alpha's `Partition.label`, for the record of a failed check
         return " ".join(f"{i}^{m}" for i, m in reversed(path))
@@ -117,7 +108,7 @@ def verify_single_step(max_n: int, enum_cap: int | None = None) -> Report:
         if p < 2:
             continue
         ca = c_closed(n, p, d)
-        tally.count += 2 * len(path) + 1  # two checks per distinct size i, and the closure
+        count += 2 * len(path) + 1  # two checks per distinct size i, and the closure
         removed_total = 0
         for i, m in reversed(path):
             chat = c_closed(n - i, p - 1, d // m)
@@ -125,16 +116,16 @@ def verify_single_step(max_n: int, enum_cap: int | None = None) -> Report:
             lhs = chat * n * (p - 1)
             rhs = -m * (n - i) * ca
             if lhs != rhs:
-                tally.fail(n, lhs, rhs, f"alpha={label()} i={i}")
+                failed.append((n, lhs, rhs, f"alpha={label()} i={i}"))
             # (n-i)^5 chat = -m (n-i)^6 / (n^6 (p-1)) * n^5 ca, times n^6 (p-1) > 0
             if (n - i) ** 5 * chat * n**6 * (p - 1) != -m * (n - i) ** 6 * n**5 * ca:
-                tally.fail(n, Fraction((n - i) ** 5 * chat),
-                           Fraction(-m * (n - i) ** 6, n**6 * (p - 1)) * (n**5 * ca),
-                           f"alpha={label()} i={i} g3-fibres")
+                failed.append((n, Fraction((n - i) ** 5 * chat),
+                               Fraction(-m * (n - i) ** 6, n**6 * (p - 1)) * (n**5 * ca),
+                               f"alpha={label()} i={i} g3-fibres"))
         if removed_total != -ca:
-            tally.fail(n, removed_total, -ca, f"alpha={label()} closure")
-    tally.failed.sort(key=lambda check: check.n)  # stable: each n keeps the walk's order
-    return tally.report()
+            failed.append((n, removed_total, -ca, f"alpha={label()} closure"))
+    failed.sort(key=lambda failure: failure[0])  # stable: each n keeps the walk's order
+    return _report("single-step", None, count, failed)
 
 
 def _genus_reports(g: int, table: list[int]) -> tuple[Report, Report]:
@@ -142,25 +133,22 @@ def _genus_reports(g: int, table: list[int]) -> tuple[Report, Report]:
     max_n = len(table) - 1
     s = log_coefficients(table)
     strat = [n ** (2 * g - 1) * ns for n, ns in enumerate(_ns_table(max_n, table)) if n]
-    series = _Tally("chi-series", g)
-    series.count = (3 if g == 3 else 2) * max_n
+    failed = []
     for n, s_n, chi in zip(range(1, max_n + 1), s, strat):
         val = n ** (2 * g) * s_n
         if val != chi:
-            series.fail(n, val, chi, "stratified")
+            failed.append((n, val, chi, "stratified"))
         if val.denominator != 1 or val <= 0:
-            series.fail(n, val, "a positive integer", "integrality")
+            failed.append((n, val, "a positive integer", "integrality"))
         if g == 3 and val != (closed := chi_kummer_closed(n)):
-            series.fail(n, val, closed, "closed-form")
+            failed.append((n, val, closed, "closed-form"))
+    series = _report("chi-series", g, (3 if g == 3 else 2) * max_n, failed)
     # exp(eps*b) = 1 + eps*b in Q[eps]/(eps^2), with b = [0, *s] the log of the table:
     # the eps^0 parts are int(n == 0) on both sides, so the eps parts decide
     lhs_eps = [0] + [Fraction(chi, n ** (2 * g)) for n, chi in enumerate(strat, start=1)]
-    first = _Tally("first-order", g)
-    first.count = max_n + 1
-    for n, left, right in zip(range(max_n + 1), lhs_eps, [0, *s]):
-        if left != right:
-            first.fail(n, "%s + eps*%s" % (int(n == 0), left), "%s + eps*%s" % (int(n == 0), right))
-    return series.report(), first.report()
+    failed = [(n, "%s + eps*%s" % (int(n == 0), left), "%s + eps*%s" % (int(n == 0), right))
+              for n, left, right in zip(range(max_n + 1), lhs_eps, [0, *s]) if left != right]
+    return series, _report("first-order", g, max_n + 1, failed)
 
 
 def verify_chi_series(g: int, max_n: int, enum_cap: int | None = None) -> Report:

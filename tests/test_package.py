@@ -43,6 +43,20 @@ def test_importing_the_package_loads_no_module():
     assert _fresh("-c", probe).stdout == "[]\n"
 
 
+_NAMES = [("c_value", {"kummerchi.partitions"}),
+          ("check_enumeration_cap", {"kummerchi.partitions", "kummerchi.dd_partitions",
+                                     "kummerchi.series"})]
+
+
+@pytest.mark.parametrize("name, loaded", _NAMES, ids=[name for name, _ in _NAMES])
+def test_a_public_name_loads_only_the_modules_up_to_its_own(name, loaded):
+    # the search stops at the first module that exports the name
+    probe = (f"import sys; from kummerchi import {name}; "
+             "print(sorted(m for m in sys.modules if m.startswith('kummerchi.')\n"
+             "             or m in ('fractions', 'decimal')))")
+    assert _fresh("-c", probe).stdout == f"{sorted(loaded)}\n"
+
+
 _START = {"kummerchi.cli", "kummerchi.dd_partitions", "kummerchi.series"}
 _RATIONALS = {"fractions", "decimal"}  # `fractions` imports `decimal`
 _FIRST_WORDS = {"--version": "kummerchi ", "pd": "n  P_", "table": "n  sigma2", "c-table": "partition",

@@ -9,9 +9,7 @@ no rounding, no tolerances.
 
 Importing the package loads none of its modules.  The public names,
 `__all__` and the seven modules resolve on first use (PEP 562), so each
-command loads only what it runs: `kummerchi --version` the command line
-and `dd_partitions` with `series`; `table` at g = 3 `kummer` and
-`fractions` besides, not the partition walk, either P_d count or `verify`.
+command loads only what it runs, as README's "Layout" table lists.
 A public name loads `_MODULES` up to its own (`c_value`: `partitions` alone);
 `__all__` and an unknown name load all seven.
 """

@@ -19,6 +19,7 @@ tuples.  Every entry point is subject to the enumeration cap.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterable, Iterator
 
 from .dd_partitions import _at_least, _validate_dn, check_enumeration_cap
@@ -38,7 +39,7 @@ class DdPartition:
 
     def __init__(self, dim: int, boxes: Iterable[tuple[int, ...]]):
         _at_least(dim, 1, "dimension must be a positive integer")
-        cells = frozenset(tuple(b) for b in boxes)
+        cells = frozenset(tuple(map(index, b)) for b in boxes)  # TypeError on non-integers
         k = dim + 1
         for cell in cells:
             if len(cell) != k or any(x < 0 for x in cell):

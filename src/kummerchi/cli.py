@@ -13,16 +13,9 @@ was hit before any exponential work started, and stdout is empty.
 names what sets it instead.  Rationals are printed exactly, as "p/q"
 (or "p" when integral); output for fixed inputs is byte-stable.
 
-Each command imports what it runs when it runs.  The parser needs only
-`dd_partitions` (and `series`, which it imports) for its caps, so
-`--version` loads nothing else; `pd` adds the P_d counts it runs, `table`
-and `c-table` add `kummer` and what their route needs, `verify` all.
-
-Every format writes each row as it is made, and `c-table` walks the
-partitions one at a time and holds none of its rows, so its memory stays
-flat in n.  CSV and JSON read the rows once.  Text reads them twice: once
-for the column widths, keeping no cell string, then to write them; so
-`c-table` hands over rows that walk the partitions again each time.
+Each command imports what it runs when it runs: README's "Layout" table
+lists the modules each loads.  This module only formats: `_emit` writes each
+row as it is made, and `c-table` hands it a walk that holds no row.
 """
 
 from __future__ import annotations
@@ -74,14 +67,10 @@ def _genus_list(text: str) -> list[int]:
     return values
 
 
-def _dump_json(payload: dict, out) -> None:
-    import json  # here, not at start-up: only JSON output needs it
-    print(json.dumps(payload, sort_keys=True, indent=2), file=out)
-
-
 def _json_field(key: str, value) -> str:
-    """`"key": value` as `_dump_json` writes a top-level field, without its indent."""
-    import json
+    """`"key": value` as `json.dumps(..., sort_keys=True, indent=2)` writes a top-level
+    field, without its indent."""
+    import json  # here, not at start-up: only JSON output needs it
     return json.dumps({key: value}, sort_keys=True, indent=2)[4:-2]  # within "{\n  " and "\n}"
 
 
@@ -89,31 +78,20 @@ def _yes_no(value) -> str:
     return ("no", "yes")[value] if isinstance(value, bool) else str(value)
 
 
-class _Rows:
-    """Rows walked afresh by `walk()` each time they are iterated, so text can read them twice."""
-
-    def __init__(self, walk):
-        self.walk = walk
-
-    def __iter__(self):
-        return self.walk()
-
-
 def _emit(fmt, out, meta, header, rows, text_header=None, cell=str, footer=None) -> None:
-    """Write `rows` in format `fmt`, each row as it comes, keeping none.
+    """Write the rows that `rows()` returns in format `fmt`, each as it comes, keeping none.
 
     JSON is `meta` plus the rows as records keyed by `header`, byte for
-    byte what `_dump_json` writes for the whole payload, given at least
-    one row, as every command has.  CSV is `header` and the rows as given.
-    Both read `rows` once, so any iterable will do.  Text is an aligned
-    table under `text_header` (default `header`), each value rendered by
-    `cell`.  It reads `rows` twice: the first pass keeps only the widths
-    of the columns, the second writes each row.  So text needs rows it
-    can iterate again, and refuses an iterator with `TypeError` before it
-    writes anything.  The keys of `meta` sort before "rows".  `footer`, if
-    given, is called once after the last row and returns a dict: its
-    "json" entry holds more top-level keys, which sort after "rows", and
-    its "csv" or "text" entry is one more line after the table.
+    byte what `json.dumps(..., sort_keys=True, indent=2)` writes for the
+    whole payload, given at least one row, as every command has.  CSV is
+    `header` and the rows as given.  Both call `rows` once.  Text is an
+    aligned table under `text_header` (default `header`), each value
+    rendered by `cell`.  It calls `rows` twice: the first pass keeps only
+    the distinct tuples of cell lengths, a handful, for the column widths,
+    and the second writes each row.  The keys of `meta` sort before "rows".
+    `footer`, if given, is called once after the last row and returns a
+    dict: its "json" entry holds more top-level keys, which sort after
+    "rows", and its "csv" or "text" entry is one more line after the table.
     """
     if fmt == "json":
         import json
@@ -121,13 +99,13 @@ def _emit(fmt, out, meta, header, rows, text_header=None, cell=str, footer=None)
         encode = {str: json.encoder.encode_basestring_ascii, int: int.__repr__,
                   bool: ("false", "true").__getitem__}
         out.write("{\n" + "".join(f"  {_json_field(k, v)},\n" for k, v in sorted(meta.items())))
-        # a row holds scalars, so its record is laid out here as `_dump_json` would
+        # a row holds scalars, so its record is laid out here as `json.dumps` would
         # lay it out, two levels deep, and only the values go through the encoder
         order = sorted(range(len(header)), key=header.__getitem__)
         names = [f"\n      {other(header[i])}: " for i in order]
         out.write('  "rows": [')
         sep = "\n    {"
-        for row in rows:
+        for row in rows():
             out.write(sep + ",".join([name + encode.get(type(v), other)(v) for name, v
                                       in zip(names, map(row.__getitem__, order))]) + "\n    }")
             sep = ",\n    {"
@@ -136,18 +114,15 @@ def _emit(fmt, out, meta, header, rows, text_header=None, cell=str, footer=None)
         import csv  # here, not at start-up: only CSV output needs it
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows if cell is str else ([cell(v) for v in row] for row in rows))
+        body = rows()  # the writer calls str itself, so only a cell other than str is applied
+        writer.writerows(body if cell is str else ([cell(v) for v in row] for row in body))
     else:
-        first = iter(rows)
-        if first is rows:
-            raise TypeError("text output reads its rows twice, so they cannot be an iterator")
         head = text_header or header
-        # the first pass keeps only the distinct tuples of cell lengths, a handful
-        shapes = {tuple(map(len, map(cell, row))) for row in first}
+        shapes = {tuple(map(len, map(cell, row))) for row in rows()}
         widths = [max(column) for column in zip(map(len, head), *shapes)]
         print("  ".join(h.ljust(w) for h, w in zip(head, widths)).rstrip(), file=out)
         line = "  ".join(f"{{:>{w}}}" for w in widths).format  # each cell right-aligned
-        for row in rows:
+        for row in rows():
             out.write(line(*map(cell, row)).rstrip() + "\n")
     tail = footer() if footer else {}
     if fmt == "json":
@@ -157,40 +132,37 @@ def _emit(fmt, out, meta, header, rows, text_header=None, cell=str, footer=None)
         print(tail[fmt], file=out)
 
 
-def cmd_table(args, out=None) -> int:
+# Each command writes to `sys.stdout`, looked up when it runs, so a caller that swaps it
+# (`contextlib.redirect_stdout`, pytest's `capsys`) gets the output.  Each computes what
+# it prints before its first write, so a refusal, raised before any counting, leaves
+# stdout empty: `c-table` checks its caps and counts P_2 before `_emit` starts its walk.
+def cmd_table(args) -> int:
     from .kummer import kummer_rows
 
-    rows = kummer_rows(args.max_n, g=args.genus, enum_cap=args.enum_cap)
-    _emit(
-        args.format, out or sys.stdout,
-        {"command": "table", "genus": args.genus, "max_n": args.max_n},
-        ["n", "sigma2", "chi", "dt", "s"],
-        [[r.n, r.sigma2, r.chi, str(r.dt), str(r.s)] for r in rows],
-    )
+    rows = [[r.n, r.sigma2, r.chi, str(r.dt), str(r.s)]
+            for r in kummer_rows(args.max_n, g=args.genus, enum_cap=args.enum_cap)]
+    _emit(args.format, sys.stdout, {"command": "table", "genus": args.genus, "max_n": args.max_n},
+          ["n", "sigma2", "chi", "dt", "s"], lambda: rows)
     return EXIT_OK
 
 
-def cmd_c_table(args, out=None) -> int:
-    """c(alpha) for each alpha of n, and sum c(alpha) * prod P_2(i)^alpha_i, from one walk
-    (two in text); c is computed only for the alpha of n that are printed."""
-    from . import partitions
-    from .kummer import _tables, sigma
+def cmd_c_table(args) -> int:
+    """c(alpha) for each alpha of n, and sum c(alpha) * prod P_2(i)^alpha_i, from `_strata_at`."""
+    from .kummer import _strata_at, _tables, sigma
 
     n = args.max_n
     table = _tables(n, [3], args.enum_cap)[2]
     expected = sigma(2, n)
     total = 0
+    # one string per (size, multiplicity) that can occur, so a row's label only joins lookups
     label = {(i, m): f"{i}^{m}" for i in range(1, n + 1) for m in range(1, n // i + 1)}.__getitem__
 
     def rows():
         nonlocal total
-        total = 0
-        c_closed = partitions._c_closed
-        for weight, l, d, w, path in partitions._strata(n, table, least=n):
-            if weight == n:
-                c = c_closed(n, l, d)
-                total += c * w
-                yield " ".join(map(label, reversed(path))), c
+        total = 0  # text walks twice; the footer reads the last walk's sum
+        for path, c, cw in _strata_at(n, table):
+            total += cw
+            yield " ".join(map(label, reversed(path))), c
 
     def footer():
         ok = total == expected
@@ -202,50 +174,47 @@ def cmd_c_table(args, out=None) -> int:
                     f"sigma2({n}) = {expected}; {verdict}",
         }
 
-    _emit(args.format, out or sys.stdout, {"command": "c-table", "n": n}, ["partition", "c"],
-          _Rows(rows), footer=footer)
+    _emit(args.format, sys.stdout, {"command": "c-table", "n": n}, ["partition", "c"], rows,
+          footer=footer)
     return EXIT_OK if total == expected else EXIT_IDENTITY_FAILURE
 
 
-def cmd_pd(args, out=None) -> int:
+def cmd_pd(args) -> int:
     d = args.dim
-    _emit(
-        args.format, out or sys.stdout,
-        {"command": "pd", "dim": d, "max_n": args.max_n},
-        ["n", "count", "cross_checked"],
-        partition_count_rows(d, args.max_n, enum_cap=args.enum_cap),
-        text_header=["n", f"P_{d}(n)", "cross-checked"],
-        cell=_yes_no,
-    )
+    rows = partition_count_rows(d, args.max_n, enum_cap=args.enum_cap)
+    _emit(args.format, sys.stdout, {"command": "pd", "dim": d, "max_n": args.max_n},
+          ["n", "count", "cross_checked"], lambda: rows,
+          text_header=["n", f"P_{d}(n)", "cross-checked"], cell=_yes_no)
     return EXIT_OK
 
 
-def cmd_verify(args, out=None) -> int:
+def cmd_verify(args) -> int:
     from .verify import run_all_verifiers
 
-    out = out or sys.stdout
     reports = run_all_verifiers(args.max_n, args.genus, enum_cap=args.enum_cap)
     passed = all(r.passed for r in reports)
     if args.format == "text":
         for r in reports:
-            print(f"{'PASS' if r.passed else 'FAIL'}  {r.name}  ({r.count} checks)", file=out)
+            print(f"{'PASS' if r.passed else 'FAIL'}  {r.name}  ({r.count} checks)")
             for c in r.failed:
                 where = f"n={c.n}" + (f" g={c.g}" if c.g is not None else "")
                 extra = f" [{c.detail}]" if c.detail else ""
-                print(f"      {where}{extra}: {c.lhs} != {c.rhs}", file=out)
+                print(f"      {where}{extra}: {c.lhs} != {c.rhs}")
         verdict = "all identities hold" if passed else "FAILURES above"
-        print(f"{verdict} (max_n={args.max_n}, genus={','.join(map(str, args.genus))})", file=out)
+        print(f"{verdict} (max_n={args.max_n}, genus={','.join(map(str, args.genus))})")
     elif args.format == "json":
+        import json  # here, not at start-up: only JSON output needs it
+
         records = [{"name": r.name, "checks": r.count, "failed": len(r.failed),
                     "passed": r.passed, "failures": [c._asdict() for c in r.failed]}
                    for r in reports]
-        _dump_json({"command": "verify", "max_n": args.max_n, "genus": args.genus,
-                    "passed": passed, "reports": records}, out)
+        print(json.dumps({"command": "verify", "max_n": args.max_n, "genus": args.genus,
+                          "passed": passed, "reports": records}, sort_keys=True, indent=2))
     else:
-        summary = [[r.name, r.count, len(r.failed), r.passed] for r in reports]
-        failures = [["FAILURE", c.identity, "" if c.g is None else c.g, c.n, c.detail, c.lhs,
-                     c.rhs] for r in reports for c in r.failed]
-        _emit("csv", out, {}, ["name", "checks", "failed", "passed"], summary + failures)
+        rows = [[r.name, r.count, len(r.failed), r.passed] for r in reports]
+        rows += [["FAILURE", c.identity, "" if c.g is None else c.g, c.n, c.detail, c.lhs, c.rhs]
+                 for r in reports for c in r.failed]
+        _emit("csv", sys.stdout, {}, ["name", "checks", "failed", "passed"], lambda: rows)
     return EXIT_OK if passed else EXIT_IDENTITY_FAILURE
 
 
@@ -290,11 +259,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except EnumerationCapError as err:
+    except EnumerationCapError as err:  # raised before any output, so stdout stays empty
         hint = "" if err.fixed_by else "; raise the limit with --enum-cap"
         print(f"error: {err}{hint}", file=sys.stderr)
         return EXIT_CAP
-
-
-if __name__ == "__main__":
-    sys.exit(main())

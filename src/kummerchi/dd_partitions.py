@@ -41,21 +41,15 @@ DEFAULT_ENUM_CAPS: dict[int, int] = {1: 40, 2: 16, 3: 12}
 _HIGHER_DIM_CAP = 10
 # Caps on n for the layered count that no enum_cap lifts, by d: each was the
 # largest max_n whose count_pd_table, then one count per n, took under a
-# minute of CPU, one more n taking over a minute (2-vCPU host, Python 3.11;
-# d = 2: 57 s at 40, 77 s at 41; d = 3: 46 s at 23, 83 s at 24).  On bitmask
-# ideals the table takes 5.3 s at d = 2, 3.3 s at d = 3, 3.6 s at d = 4 and under
-# 2.5 s at every other cap.  Time grows with d at fixed n, so a d between two keys
-# takes the cap of the next key up, and d above the last key takes a cap of 1, as
-# P_d(0) = P_d(1) = 1 costs nothing to count in any d.  Only the recursion limit
-# caps d = 1 (time ~ n^3, 1.5 s at 480).
+# minute of CPU, one more n taking over a minute.  Time grows with d at fixed n,
+# so a d between two keys takes the cap of the next key up, and d above the last
+# key takes a cap of 1, as P_d(0) = P_d(1) = 1 costs nothing to count in any d.
+# Only the recursion limit caps d = 1.
 _LAYERED_CAPS: dict[int, int] = {2: 40, 3: 23, 4: 18, 5: 15, 6: 13, 7: 12, 8: 11, 9: 10, 10: 10,
                                  12: 9, 14: 8, 16: 7, 20: 7, 24: 6, 30: 5}
 # Cap on max_n for the product expansions (d = 1, 2) that no enum_cap lifts:
 # the largest multiple of 500 whose `table --max-n N` took under about a
-# minute of CPU, the next one taking over a minute (2-vCPU host, Python 3.11;
-# 40 s at 5000, 53 s at 6000, 67 s at 6500, 87 s at 7000).  With the kernel of
-# slices and strided prefix sums `table --max-n 6000` took 14.4 s of CPU, 15.4 s
-# wall, measured once (Python 3.11.7, 2 vCPUs); the cap waits for a
+# minute of CPU, the next one taking over a minute.  The cap waits for a
 # calibration by work budget rather than being re-set by hand.
 _PRODUCT_CAP = 6000
 
@@ -80,8 +74,8 @@ class EnumerationCapError(RuntimeError):
 
 
 def enumeration_cap(d: int) -> int:
-    """The default cap on n for brute-force work in dimension d, an integer."""
-    return DEFAULT_ENUM_CAPS.get(index(d), _HIGHER_DIM_CAP)  # TypeError on non-integers
+    """The default cap on n for brute-force work in dimension d, an integer >= 0."""
+    return DEFAULT_ENUM_CAPS.get(_at_least(d, 0, "d must be nonnegative"), _HIGHER_DIM_CAP)
 
 
 def _at_least(value: int, least: int, message: str) -> int:
@@ -102,9 +96,9 @@ def check_enumeration_cap(d: int, n: int, enum_cap: int | None = None) -> None:
     """Raise `EnumerationCapError` if n exceeds the (possibly overridden) cap.
 
     d and n must be integers: `TypeError` otherwise, where n = 2.5 would
-    pass and d = 2.5 would be named in the refusal.
+    pass and d = 2.5 would be named in the refusal.  d < 0 raises `ValueError`.
     """
-    d, n = index(d), index(n)
+    d, n = _at_least(d, 0, "d must be nonnegative"), index(n)
     cap = _cap(d, enum_cap)
     if n > cap:
         raise EnumerationCapError(d, n, cap)

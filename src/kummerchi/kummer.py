@@ -17,7 +17,9 @@ Euler characteristic is computed here along three independent routes:
 
 Both routes read one P_{g-1} table from `dd_partitions`, which owns its
 route, its DFS check and every cap on it; `verify` checks that the routes
-agree.  Every entry point refuses before it counts, through `_tables`:
+agree.  Route 2 is one walk of `partitions._strata`: `_ns_table` for every
+n up to a bound, `_strata_at` for the partitions of one n (`ns_from_c`,
+`c-table`).  Every entry point refuses before it counts, through `_tables`:
 max_n < 1, each g < 1, the d = 1 cap of the partition walk, then the caps
 of every table before the first is counted.
 """
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from math import isqrt
 from operator import index
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from . import dd_partitions
 from .dd_partitions import _at_least, check_enumeration_cap
@@ -89,6 +91,18 @@ def _ns_table(max_n: int, table: Sequence[int]) -> list[int]:
     return ns
 
 
+def _strata_at(n: int, table: Sequence[int]) -> Iterator[tuple[list, int, int]]:
+    """(path, c, c * W) for each alpha of n, W = prod table[i]^alpha_i; `path` is
+    `partitions._strata`'s, changed in place, so the walk holds one partition."""
+    from . import partitions
+
+    c_closed = partitions._c_closed
+    for weight, l, d, w, path in partitions._strata(n, table, least=n):
+        if weight == n:
+            c = c_closed(n, l, d)
+            yield path, c, c * w
+
+
 def ns_from_c(
     n: int, g: int, table: Sequence[int] | None = None, enum_cap: int | None = None
 ) -> int:
@@ -97,7 +111,7 @@ def ns_from_c(
     Equals sigma_2(n) at g = 3, sigma_1(n) at g = 2 and 1 at g = 1.
     `table` may carry a precomputed `partition_count_table(g - 1, >= n)`; a
     shorter one raises `ValueError` before the walk, which holds one path, not p(n)
-    partitions (`_ns_table`).  n is subject to the d = 1 cap.
+    partitions.  n is subject to the d = 1 cap.
     """
     _at_least(n, 1, "n must be >= 1")
     _at_least(g, 1, "g must be >= 1")
@@ -108,7 +122,7 @@ def ns_from_c(
         raise ValueError(f"table has no entry for part size {n}")
     else:  # TypeError on non-integer entries, before the walk: no floats
         table = list(map(index, table[: n + 1]))
-    return _ns_table(n, table)[n]
+    return sum(cw for _, _, cw in _strata_at(n, table))
 
 
 def chi_kummer_stratified(

@@ -124,11 +124,11 @@ def count_pd_table(d: int, max_n: int) -> list[int]:
     No enumeration cap applies, and no state outlives the call: the cell
     table and the memo are built for it and dropped with it.  The count
     recurses, at most max_n frames deep: `_check_layered_cap` refuses,
-    before any counting, max_n above `_LAYERED_CAPS` for d >= 2 (a table
-    takes at most 5.3 s of CPU) and above half of `sys.getrecursionlimit()`,
-    which only d = 1 reaches.  `partition_count_table` takes d <= 2 from the
-    products, so tables of d <= 2 here serve library callers and acceptance
-    criterion 5, where the layered count is the third plane-partition count.
+    before any counting, max_n above `_LAYERED_CAPS` for d >= 2 and above
+    half of `sys.getrecursionlimit()`, which only d = 1 reaches.
+    `partition_count_table` takes d <= 2 from the products, so tables of
+    d <= 2 here serve library callers and acceptance criterion 5, where the
+    layered count is the third plane-partition count.
     """
     _check_layered_cap(d, max_n)
     stair, succs = _cells(d, max_n)

@@ -13,11 +13,10 @@ of size i removed), with i over the *distinct* part sizes of alpha.
 
 `_strata` walks the partitions of every n up to a bound depth first, each
 node's parts, prod alpha_i! and weight stepped from its parent's, and holds
-one path; it computes no c.  Each caller calls `_c_closed` where it needs
-c: `c-table` for the partitions it prints, route 2 and the single-step
-check for every node.  `iter_partitions` yields the walk's partitions of
-one n and `enumerate_partitions` lists them; neither computes c.  Nothing
-in this module keeps state between calls.
+one path; it computes no c, which a caller takes from `_c_closed` where it
+needs it.  `iter_partitions` yields the walk's partitions of one n and
+`enumerate_partitions` lists them.  Nothing in this module keeps state
+between calls.
 """
 
 from __future__ import annotations

@@ -80,10 +80,13 @@ _CASES = [
     ("DdPartition(1, [(0,)])", ValueError, "(0,) is not a lattice point of N^2"),
     ("DdPartition(1, [(0, 1)])", ValueError,
      "box set is not downward closed: (0, 1) present, (0, 0) missing"),
+    ("DdPartition(1, [(0, 0), (1.0, 0)])", TypeError, _NOT_INT),
     ("check_enumeration_cap(1, 41)", EnumerationCapError, _WALK_CAP_41),
     ("check_enumeration_cap(1, 2.5)", TypeError, _NOT_INT),
     ("check_enumeration_cap(1, 3, 0)", ValueError, _ENUM_CAP),
+    ("check_enumeration_cap(-5, 3)", ValueError, "d must be nonnegative"),
     ("enumeration_cap(2.5)", TypeError, _NOT_INT),
+    ("enumeration_cap(-3)", ValueError, "d must be nonnegative"),
     ("verify_sigma2_convolution(0)", ValueError, "max_n must be >= 1"),
     ("verify_sigma2_convolution(6001)", EnumerationCapError, _PRODUCT_CAP_6001),
     ("verify_single_step(0, 0)", ValueError, "max_n must be >= 1"),

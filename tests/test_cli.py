@@ -121,17 +121,16 @@ def test_c_table_computes_c_only_for_the_rows_it_prints(capsys, monkeypatch):
         assert calls == [12] * len(calls) and 77 <= len(calls) <= most, fmt
 
 
-def test_text_reads_its_rows_twice_and_refuses_an_iterator():
+def test_text_calls_its_row_function_twice_and_csv_and_json_once():
     rows = [["a", 1], ["bb", 22]]
-    out = io.StringIO()
-    with pytest.raises(TypeError):
-        cli._emit("text", out, {}, ["x", "y"], iter(rows))
-    assert out.getvalue() == ""  # refused before the header
-    cli._emit("text", out, {}, ["x", "y"], rows)
-    assert out.getvalue() == "x   y\n a   1\nbb  22\n"
-    out = io.StringIO()
-    cli._emit("csv", out, {}, ["x", "y"], iter(rows))  # CSV and JSON read the rows once
-    assert out.getvalue() == "x,y\na,1\nbb,22\n"
+    expected = {"text": "x   y\n a   1\nbb  22\n", "csv": "x,y\na,1\nbb,22\n",
+                "json": '{\n  "rows": [\n    {\n      "x": "a",\n      "y": 1\n    },\n'
+                        '    {\n      "x": "bb",\n      "y": 22\n    }\n  ]\n}\n'}
+    for fmt, text in expected.items():
+        calls, out = [], io.StringIO()
+        cli._emit(fmt, out, {}, ["x", "y"], lambda: calls.append(fmt) or iter(rows))
+        assert out.getvalue() == text, fmt
+        assert len(calls) == (2 if fmt == "text" else 1), fmt
 
 
 def test_c_table_text_is_byte_stable(capsys):
@@ -343,10 +342,11 @@ def test_emitted_json_scalars_are_what_json_dumps_writes():
     rows = [('say "hi"', -7, True, None), ("back\\slash\n", 2**64 + 1, False, 0.5),
             ("naïve ∑ \u2028 \x00", -(2**70), True, "plain"), ("", 0, False, -3)]
     meta = {"command": "test", "n": 4}
-    emitted, dumped = io.StringIO(), io.StringIO()
-    cli._emit("json", emitted, meta, header, iter(rows))
-    cli._dump_json({**meta, "rows": [dict(zip(header, row)) for row in rows]}, dumped)
-    assert emitted.getvalue() == dumped.getvalue()
+    emitted = io.StringIO()
+    cli._emit("json", emitted, meta, header, lambda: iter(rows))
+    dumped = json.dumps({**meta, "rows": [dict(zip(header, row)) for row in rows]},
+                        sort_keys=True, indent=2) + "\n"
+    assert emitted.getvalue() == dumped
     assert json.loads(emitted.getvalue())["rows"][1]["n"] == 2**64 + 1
 
 

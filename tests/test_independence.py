@@ -17,9 +17,11 @@ from kummerchi import kummer, partition_count_table, series, verify
 
 _MAX_N = 12
 
-# the refusal helpers, which every entry point may call before it counts
-_ALLOWED = {f"kummerchi.dd_partitions.{name}"
-            for name in ("_at_least", "_cap", "check_enumeration_cap", "enumeration_cap")}
+# the refusal helpers, which every entry point may call before it counts; given a
+# table, `ns_from_c` reaches `kummer._tables` only to refuse
+_ALLOWED = {"kummerchi.kummer._tables"} | {
+    f"kummerchi.dd_partitions.{name}"
+    for name in ("_at_least", "_cap", "check_enumeration_cap", "enumeration_cap")}
 
 # each route's kernel, given the P_{g-1} table, with the functions it must reach
 _ROUTES = {
@@ -27,9 +29,10 @@ _ROUTES = {
         lambda table: [kummer.chi_kummer_closed(n) for n in range(1, len(table))],
         {"kummerchi.kummer.chi_kummer_closed", "kummerchi.kummer.sigma"}),
     "route 2, the stratification": (
-        lambda table: kummer._ns_table(len(table) - 1, table),
-        {"kummerchi.kummer._ns_table", "kummerchi.partitions._strata",
-         "kummerchi.partitions._c_closed"}),
+        lambda table: (kummer._ns_table(len(table) - 1, table),
+                       [kummer.ns_from_c(n, 2, table=table) for n in range(1, len(table))]),
+        {"kummerchi.kummer._ns_table", "kummerchi.kummer._strata_at",
+         "kummerchi.partitions._strata", "kummerchi.partitions._c_closed"}),
     "route 3, the logarithm": (series.log_coefficients, {"kummerchi.series.log_coefficients"}),
     "the single-step check": (
         lambda table: verify.verify_single_step(len(table) - 1),

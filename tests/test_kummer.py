@@ -275,6 +275,17 @@ def test_route_2_and_the_single_step_check_compute_c_at_every_node(monkeypatch):
     assert len(calls) == len(composite) + removals == 402
 
 
+def test_ns_from_c_computes_c_only_for_the_partitions_of_n(monkeypatch):
+    # route 2 at one n walks the partitions of n alone: p(30) = 5,604 calls, not the
+    # 28,628 of every partition of 1..30
+    calls = []
+    real_c = partitions._c_closed
+    monkeypatch.setattr(partitions, "_c_closed",
+                        lambda n, parts, dfact: calls.append(n) or real_c(n, parts, dfact))
+    assert ns_from_c(30, 3) == sigma(2, 30)
+    assert calls == [30] * 5604
+
+
 def test_verify_single_step(monkeypatch):
     report = verify_single_step(10)
     assert report.passed

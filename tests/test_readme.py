@@ -3,12 +3,19 @@
 Each example runs as `python -m kummerchi ...` in a fresh process.  Its
 stdout must equal the lines shown, byte for byte; a shown line that
 starts with "error:" is the expected stderr, and the exit code is then
-the cap refusal's.  Examples that show no output are skipped.
+the cap refusal's.  Examples that show no output are skipped.  The
+"Library" block runs too, each value it shows in a comment compared with
+what its statement computes.
 """
 
+import ast
+import io
+import re
 import shlex
 import subprocess
 import sys
+import tokenize
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -63,3 +70,39 @@ def test_readme_cap_table_matches_the_caps():
     assert dict(zip(rows["d"], rows["largest n"])) == _LAYERED_CAPS
     assert len(rows["d"]) == len(rows["largest n"])
     assert f"refuse n above {_PRODUCT_CAP} at once" in " ".join(README.read_text().split())
+
+
+def _shown(comment: str):
+    """The value a comment shows: its longest prefix that evaluates, `p/q` read as a Fraction."""
+    text = re.sub(r"\b(\d+)/(\d+)\b", r"Fraction(\1, \2)", comment.lstrip("#").strip())
+    for end in sorted({len(text), *(i for i, ch in enumerate(text) if ch == " ")}, reverse=True):
+        try:
+            return eval(text[:end].rstrip(", "), {"__builtins__": {}, "Fraction": Fraction})
+        except (SyntaxError, NameError):  # a word of prose
+            continue
+    raise AssertionError(f"no value in {comment!r}")
+
+
+def test_readme_library_block_shows_what_it_computes():
+    # a comment on a statement's line, or alone on the line after it, shows the value of
+    # that expression, or of the name that statement assigns
+    block = README.read_text().split("## Library\n\n```python\n", 1)[1].split("```", 1)[0]
+    tree = ast.parse(block)
+    values, namespace = {}, {}
+    for statement in tree.body:
+        if isinstance(statement, ast.Expr):
+            value = eval(compile(ast.Expression(statement.value), "README", "eval"), namespace)
+        else:
+            exec(compile(ast.Module([statement], []), "README", "exec"), namespace)
+            if not isinstance(statement, ast.Assign):
+                continue
+            value = namespace[statement.targets[0].id]
+        values[statement.end_lineno] = value
+    shown = 0
+    for token in tokenize.generate_tokens(io.StringIO(block).readline):
+        if token.type == tokenize.COMMENT:
+            line = token.start[0]
+            value = values[line] if line in values else values[line - 1]
+            assert value == _shown(token.string), token.line
+            shown += 1
+    assert shown == 8

@@ -59,7 +59,7 @@ _nonnegative_int = _int_at_least(0, "must be nonnegative")
 
 def _genus_list(text: str) -> list[int]:
     try:
-        values = [int(part) for part in text.split(",") if part.strip() != ""]
+        values = list(dict.fromkeys(int(part) for part in text.split(",") if part.strip()))
     except ValueError:
         raise argparse.ArgumentTypeError("expected a comma-separated list of integers")
     if not values or any(g < 1 for g in values):
@@ -137,10 +137,9 @@ def _emit(fmt, out, meta, header, rows, text_header=None, cell=str, footer=None)
 # it prints before its first write, so a refusal, raised before any counting, leaves
 # stdout empty: `c-table` checks its caps and counts P_2 before `_emit` starts its walk.
 def cmd_table(args) -> int:
-    from .kummer import kummer_rows
+    from .kummer import _ratio, _rows
 
-    rows = [[r.n, r.sigma2, r.chi, str(r.dt), str(r.s)]
-            for r in kummer_rows(args.max_n, g=args.genus, enum_cap=args.enum_cap)]
+    rows = _rows(args.max_n, args.genus, args.enum_cap, _ratio)
     _emit(args.format, sys.stdout, {"command": "table", "genus": args.genus, "max_n": args.max_n},
           ["n", "sigma2", "chi", "dt", "s"], lambda: rows)
     return EXIT_OK

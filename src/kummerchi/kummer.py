@@ -17,22 +17,25 @@ Euler characteristic is computed here along three independent routes:
 
 Both routes read one P_{g-1} table from `dd_partitions`, which owns its
 route, its DFS check and every cap on it; `verify` checks that the routes
-agree.  Route 2 is one walk of `partitions._strata`: `_ns_table` for every
-n up to a bound, `_strata_at` for the partitions of one n (`ns_from_c`,
-`c-table`).  Every entry point refuses before it counts, through `_tables`:
-max_n < 1, each g < 1, the d = 1 cap of the partition walk, then the caps
-of every table before the first is counted.
+agree.  The arithmetic is in integers: `_ratio` writes a rational p / q
+as `str(Fraction(p, q))` would, and only the library's `dt_invariant` and
+`kummer_rows` build a `Fraction`.  Route 2 is one walk of
+`partitions._strata`: `_ns_table` for every n up to a bound, `_strata_at`
+for the partitions of one n (`ns_from_c`, `c-table`).  Every entry point
+refuses before it counts, through `_tables`: max_n < 1, each g < 1, the
+d = 1 cap of the partition walk, then the caps of every table before the
+first is counted.
 """
 
 from __future__ import annotations
 
-from math import isqrt
+from math import gcd, isqrt
 from operator import index
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import dd_partitions
 from .dd_partitions import _at_least, check_enumeration_cap
-from .series import log_coefficients
+from .series import _log_numerators
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -159,6 +162,28 @@ class KummerRow(NamedTuple):
     s: Fraction
 
 
+def _ratio(p: int, q: int) -> str:
+    """p / q, q >= 1, as `str(Fraction(p, q))` writes it: in lowest terms, the sign on
+    the numerator, and "p" alone when the denominator is 1."""
+    d = gcd(p, q)
+    return f"{p // d}/{q // d}" if q != d else str(p // d)
+
+
+def _rows(max_n: int, g: int, enum_cap: int | None,
+          ratio: Callable[[int, int], object]) -> list[tuple]:
+    """`kummer_rows`'s rows as tuples, computed in integers: each rational, dt and s,
+    is `ratio(numerator, denominator)`, as `Fraction` for the library, `_ratio` for the CLI."""
+    table = _tables(max_n, [g], enum_cap, walk=g != 3)[g - 1]
+    b = _log_numerators(table)
+    ns = _ns_table(max_n, table) if g != 3 else None
+    rows = []
+    for n in range(1, max_n + 1):
+        chi = chi_kummer_closed(n) if g == 3 else n ** (2 * g - 1) * ns[n]
+        rows.append((n, sigma(2, n), chi, ratio(chi if n % 2 else -chi, n ** (2 * g)),
+                     ratio(b[n], n)))
+    return rows
+
+
 def kummer_rows(max_n: int, g: int = 3, enum_cap: int | None = None) -> list[KummerRow]:
     """Rows for n = 1..max_n at a fixed g.
 
@@ -168,20 +193,4 @@ def kummer_rows(max_n: int, g: int = 3, enum_cap: int | None = None) -> list[Kum
     """
     from fractions import Fraction
 
-    table = _tables(max_n, [g], enum_cap, walk=g != 3)[g - 1]
-    s = log_coefficients(table)
-    ns = _ns_table(max_n, table) if g != 3 else None
-    rows = []
-    for n in range(1, max_n + 1):
-        chi = chi_kummer_closed(n) if g == 3 else n ** (2 * g - 1) * ns[n]
-        sign = 1 if n % 2 else -1
-        rows.append(
-            KummerRow(
-                n=n,
-                sigma2=sigma(2, n),
-                chi=chi,
-                dt=sign * Fraction(chi, n ** (2 * g)),
-                s=s[n - 1],
-            )
-        )
-    return rows
+    return list(map(KummerRow._make, _rows(max_n, g, enum_cap, Fraction)))

@@ -1,9 +1,9 @@
 """Truncated formal power series: the two integer kernels.
 
-`product_expansion` and `log_coefficients` compute over `int`, as every
+`product_expansion` and `_log_numerators` compute over `int`, as every
 series the Kummer routes build has integer coefficients; only the
-logarithm's coefficients s_n = b_n / n are true rationals, returned as
-`fractions.Fraction`s, never floats.
+logarithm's coefficients s_n = b_n / n are true rationals, which
+`log_coefficients` returns as `Fraction`s, never floats.
 """
 
 from __future__ import annotations
@@ -67,20 +67,8 @@ def product_expansion(exponent: Callable[[int], int], order: int) -> list[int]:
     return coeffs
 
 
-def log_coefficients(counts: Sequence) -> list[Fraction]:
-    """The exact rationals s_1..s_N with n*counts[n] = sum_{k=1..n} k*s_k*counts[n-k].
-
-    `counts` lists the coefficients counts[0..N] of a series with
-    counts[0] = 1; the s_n are the coefficients of its logarithm.  The
-    triangular solve runs on b_n = n*s_n, an integer when the counts are,
-    and makes a `Fraction` only of each returned s_n = b_n / n.  A count that
-    is neither an `int` nor a `Fraction` raises `TypeError`: no floats.
-    """
-    from fractions import Fraction  # here, not at start-up: `pd` never takes a logarithm
-
-    p = list(counts)
-    if not all(isinstance(c, (int, Fraction)) for c in p):
-        raise TypeError("counts must be ints or Fractions")
+def _log_numerators(p: Sequence) -> list:
+    """[0, b_1, ..., b_N], b_n = n*s_n, from n*p[n] = sum_{k=1..n} b_k*p[n-k]: ints for ints."""
     if not p or p[0] != 1:
         raise ValueError("counts[0] must be 1")
     b = [0] * len(p)
@@ -89,4 +77,19 @@ def log_coefficients(counts: Sequence) -> list[Fraction]:
         for k in range(1, n):
             acc -= b[k] * p[n - k]
         b[n] = acc
-    return [Fraction(b[n], n) for n in range(1, len(p))]
+    return b
+
+
+def log_coefficients(counts: Sequence) -> list[Fraction]:
+    """The exact rationals s_1..s_N with n*counts[n] = sum_{k=1..n} k*s_k*counts[n-k].
+
+    `counts` lists the coefficients counts[0..N] of a series with
+    counts[0] = 1; the s_n = b_n / n are the coefficients of its logarithm.
+    A count that is neither an `int` nor a `Fraction` raises `TypeError`.
+    """
+    from fractions import Fraction  # here, not at start-up: the CLI reads only b_n
+
+    p = list(counts)
+    if not all(isinstance(c, (int, Fraction)) for c in p):
+        raise TypeError("counts must be ints or Fractions")
+    return [Fraction(b, n) for n, b in enumerate(_log_numerators(p)) if n]

@@ -1,22 +1,23 @@
 """The identity harness: the checks that the routes of `kummer` agree.
 
-The verify_* functions check, coefficient by coefficient with exact
-arithmetic, that the closed form, the stratification and the logarithm
-agree, each in a report of the checks run and a record of each one that
-fails.  A failed check is data, not an exception; a cap raises
-`EnumerationCapError`, never conflated with a failed identity.  Every
-verifier refuses before it counts, in the order of the `verify` command,
-through `kummer._tables`.
+The verify_* functions check, coefficient by coefficient in integers,
+that the closed form, the stratification and the logarithm (its b_n =
+n * s_n, from `series._log_numerators`) agree, each in a report of the
+checks run and a record of each one that fails; a rational is compared
+cross-multiplied and recorded as `kummer._ratio` writes it.  A failed
+check is data, not an exception; a cap raises `EnumerationCapError`,
+never conflated with a failed identity.  Every verifier refuses before
+it counts, in the order of the `verify` command, through
+`kummer._tables`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from . import partitions
-from .kummer import _ns_table, _tables, chi_kummer_closed, sigma
-from .series import log_coefficients
+from .kummer import _ns_table, _ratio, _tables, chi_kummer_closed, sigma
+from .series import _log_numerators
 
 __all__ = [
     "Check",
@@ -100,6 +101,7 @@ def verify_single_step(max_n: int, enum_cap: int | None = None) -> Report:
     _tables(max_n, [], enum_cap)  # max_n and the walk's cap; no table is counted
     c_closed = partitions._c_closed
     count, failed = 0, []
+    pow5, pow6 = ([k**e for k in range(max_n + 1)] for e in (5, 6))
 
     def label():  # alpha's `Partition.label`, for the record of a failed check
         return " ".join(f"{i}^{m}" for i, m in reversed(path))
@@ -110,6 +112,7 @@ def verify_single_step(max_n: int, enum_cap: int | None = None) -> Report:
         ca = c_closed(n, p, d)
         count += 2 * len(path) + 1  # two checks per distinct size i, and the closure
         removed_total = 0
+        n6p, n5ca = pow6[n] * (p - 1), pow5[n] * ca
         for i, m in reversed(path):
             chat = c_closed(n - i, p - 1, d // m)
             removed_total += chat
@@ -118,9 +121,8 @@ def verify_single_step(max_n: int, enum_cap: int | None = None) -> Report:
             if lhs != rhs:
                 failed.append((n, lhs, rhs, f"alpha={label()} i={i}"))
             # (n-i)^5 chat = -m (n-i)^6 / (n^6 (p-1)) * n^5 ca, times n^6 (p-1) > 0
-            if (n - i) ** 5 * chat * n**6 * (p - 1) != -m * (n - i) ** 6 * n**5 * ca:
-                failed.append((n, Fraction((n - i) ** 5 * chat),
-                               Fraction(-m * (n - i) ** 6, n**6 * (p - 1)) * (n**5 * ca),
+            if pow5[n - i] * chat * n6p != (fibres := -m * pow6[n - i] * n5ca):
+                failed.append((n, pow5[n - i] * chat, _ratio(fibres, n6p),
                                f"alpha={label()} i={i} g3-fibres"))
         if removed_total != -ca:
             failed.append((n, removed_total, -ca, f"alpha={label()} closure"))
@@ -131,24 +133,24 @@ def verify_single_step(max_n: int, enum_cap: int | None = None) -> Report:
 def _genus_reports(g: int, table: list[int]) -> tuple[Report, Report]:
     """chi-series(g) and first-order(g) over the P_{g-1} table given: one log solve and one walk."""
     max_n = len(table) - 1
-    s = log_coefficients(table)
+    b = _log_numerators(table)
     strat = [n ** (2 * g - 1) * ns for n, ns in enumerate(_ns_table(max_n, table)) if n]
-    failed = []
-    for n, s_n, chi in zip(range(1, max_n + 1), s, strat):
-        val = n ** (2 * g) * s_n
+    series, first = [], []
+    for n, chi in enumerate(strat, start=1):
+        val = n ** (2 * g - 1) * b[n]  # n^(2g) * s_n, an integer as b_n is
         if val != chi:
-            failed.append((n, val, chi, "stratified"))
-        if val.denominator != 1 or val <= 0:
-            failed.append((n, val, "a positive integer", "integrality"))
+            series.append((n, val, chi, "stratified"))
+        if val <= 0:
+            series.append((n, val, "a positive integer", "integrality"))
         if g == 3 and val != (closed := chi_kummer_closed(n)):
-            failed.append((n, val, closed, "closed-form"))
-    series = _report("chi-series", g, (3 if g == 3 else 2) * max_n, failed)
-    # exp(eps*b) = 1 + eps*b in Q[eps]/(eps^2), with b = [0, *s] the log of the table:
-    # the eps^0 parts are int(n == 0) on both sides, so the eps parts decide
-    lhs_eps = [0] + [Fraction(chi, n ** (2 * g)) for n, chi in enumerate(strat, start=1)]
-    failed = [(n, "%s + eps*%s" % (int(n == 0), left), "%s + eps*%s" % (int(n == 0), right))
-              for n, left, right in zip(range(max_n + 1), lhs_eps, [0, *s]) if left != right]
-    return series, _report("first-order", g, max_n + 1, failed)
+            series.append((n, val, closed, "closed-form"))
+        # exp(eps*s) = 1 + eps*s in Q[eps]/(eps^2), s the log of the table: both sides are
+        # 1 + eps*0 at n = 0 and 0 + eps*(...) above, so chi / n^(2g) = b_n / n decides
+        if chi * n != b[n] * n ** (2 * g):
+            first.append((n, f"0 + eps*{_ratio(chi, n ** (2 * g))}",
+                          f"0 + eps*{_ratio(b[n], n)}"))
+    return (_report("chi-series", g, (3 if g == 3 else 2) * max_n, series),
+            _report("first-order", g, max_n + 1, first))
 
 
 def verify_chi_series(g: int, max_n: int, enum_cap: int | None = None) -> Report:
@@ -181,7 +183,7 @@ def run_all_verifiers(
     max_n: int, genus: Iterable[int], enum_cap: int | None = None
 ) -> list[Report]:
     """All identity checks up to max_n, the g-dependent ones once per requested g."""
-    genus = list(genus)
+    genus = list(dict.fromkeys(genus))  # each g once, in the order first given
     tables = _tables(max_n, [3, *genus], enum_cap)  # P_2 serves sigma_2 and g = 3
     reports = [_sigma2_report(tables[2]), verify_single_step(max_n, enum_cap)]
     for g in genus:

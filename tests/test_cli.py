@@ -208,6 +208,26 @@ def test_verify_passes(capsys):
     assert out.count("PASS") == 8  # 2 + 2 per genus
 
 
+def test_verify_runs_a_repeated_genus_once(capsys):
+    # the first occurrence of each g is kept, in order: the reports and the genus echoed
+    for fmt in ("text", "csv", "json"):
+        once = run_cli(capsys, "verify", "--max-n", "6", "--genus", "3,1", "--format", fmt)
+        assert run_cli(capsys, "verify", "--max-n", "6", "--genus", "3,1,3,,1",
+                       "--format", fmt) == once
+    assert json.loads(once[1])["genus"] == [3, 1]
+
+
+@pytest.mark.parametrize("g, max_n", [(1, 30), (2, 30), (3, 300), (4, 12)])
+def test_table_prints_the_library_rows(capsys, g, max_n):
+    # the CLI renders its integer rows itself: each cell, dt and s included, is what
+    # `str` makes of the `KummerRow` field, the `Fraction`s of the library
+    code, out, _ = run_cli(capsys, "table", "--genus", str(g), "--max-n", str(max_n),
+                           "--format", "csv")
+    assert code == EXIT_OK
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert rows == [[str(v) for v in r] for r in kummer_rows(max_n, g=g)]
+
+
 def test_verify_json(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--max-n", "6", "--genus", "2,3", "--format", "json"

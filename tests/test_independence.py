@@ -33,7 +33,8 @@ _ROUTES = {
                        [kummer.ns_from_c(n, 2, table=table) for n in range(1, len(table))]),
         {"kummerchi.kummer._ns_table", "kummerchi.kummer._strata_at",
          "kummerchi.partitions._strata", "kummerchi.partitions._c_closed"}),
-    "route 3, the logarithm": (series.log_coefficients, {"kummerchi.series.log_coefficients"}),
+    "route 3, the logarithm": (series.log_coefficients, {"kummerchi.series.log_coefficients",
+                                                         "kummerchi.series._log_numerators"}),
     "the single-step check": (
         lambda table: verify.verify_single_step(len(table) - 1),
         {"kummerchi.verify.verify_single_step"}),

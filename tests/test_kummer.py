@@ -2,7 +2,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kummerchi import kummer, partitions, verify
@@ -28,7 +28,7 @@ from kummerchi.verify import (
     verify_single_step,
 )
 from kummerchi.partitions import enumerate_partitions
-from kummerchi.series import log_coefficients, product_expansion
+from kummerchi.series import _log_numerators, log_coefficients, product_expansion
 
 
 def divisors(n):
@@ -135,6 +135,15 @@ def test_scaling_q_scales_each_stratified_sum(table, lam):
     scaled = [lam**i * t for i, t in enumerate(table)]
     expected = [lam**n * v for n, v in enumerate(kummer._ns_table(top, table))]
     assert kummer._ns_table(top, scaled) == expected
+
+
+@settings(database=None, deadline=None, max_examples=300)
+@given(st.integers(), st.integers(min_value=1))
+@example(0, 7)
+@example(-12, 8)
+@example(-5, 1)
+def test_ratio_writes_what_str_of_fraction_writes(p, q):
+    assert kummer._ratio(p, q) == str(Fraction(p, q))
 
 
 def test_stratified_sum_of_log_one_plus_q():
@@ -313,7 +322,7 @@ def test_verify_chi_series_all_supported_genera(monkeypatch):
     assert verify_chi_series(4, 8).passed
     assert verify_chi_series(3, 6).count == 18
     # negated s_n fail all three checks at every n
-    monkeypatch.setattr(verify, "log_coefficients", lambda t: [-x for x in log_coefficients(t)])
+    monkeypatch.setattr(verify, "_log_numerators", lambda t: [-x for x in _log_numerators(t)])
     failures = verify_chi_series(3, 6).failures()
     assert len(failures) == 18
     assert any(c.detail == "closed-form" for c in failures)
@@ -327,7 +336,7 @@ def test_verify_chi_series_all_supported_genera(monkeypatch):
 
 def test_verify_first_order_fails_every_n_under_a_wrong_logarithm(monkeypatch):
     # negated s_n spoil the eps part at every n >= 1; the eps^0 part at n = 0 still holds
-    monkeypatch.setattr(verify, "log_coefficients", lambda t: [-x for x in log_coefficients(t)])
+    monkeypatch.setattr(verify, "_log_numerators", lambda t: [-x for x in _log_numerators(t)])
     for g in (1, 2, 3):
         report = verify_first_order(g, 10)
         assert report.count == 11
@@ -375,6 +384,10 @@ def test_run_all_verifiers():
         r for g in (1, 3) for r in (verify_chi_series(g, 6), verify_first_order(g, 6))]
 
 
+def test_run_all_verifiers_runs_a_repeated_genus_once():
+    assert run_all_verifiers(6, [3, 1, 3, 3, 1]) == run_all_verifiers(6, [3, 1])
+
+
 def test_run_all_verifiers_builds_each_table_once(monkeypatch):
     from kummerchi import dd_partitions
 
@@ -409,10 +422,10 @@ def test_run_all_verifiers_solves_each_genus_once(monkeypatch):
 
     def counting_log(counts):
         log_calls.append(len(counts) - 1)
-        return log_coefficients(counts)
+        return _log_numerators(counts)
 
     monkeypatch.setattr(partitions, "_strata", counting_walk)
-    monkeypatch.setattr(verify, "log_coefficients", counting_log)
+    monkeypatch.setattr(verify, "_log_numerators", counting_log)
     reports = run_all_verifiers(8, [1, 2, 3])
     assert all(r.passed for r in reports)
     # the single-step check walks once, unweighted; then one stratified walk, weighted

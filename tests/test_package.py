@@ -58,7 +58,6 @@ def test_a_public_name_loads_only_the_modules_up_to_its_own(name, loaded):
 
 
 _START = {"kummerchi.cli", "kummerchi.dd_partitions", "kummerchi.series"}
-_RATIONALS = {"fractions", "decimal"}  # `fractions` imports `decimal`
 _FIRST_WORDS = {"--version": "kummerchi ", "pd": "n  P_", "table": "n  sigma2", "c-table": "partition",
                 "verify": "PASS  "}
 _LOADS = [
@@ -66,13 +65,13 @@ _LOADS = [
     (["pd", "--dim", "3", "--max-n", "3"], _START | {"kummerchi.layered", "kummerchi.boxsets"}),
     (["pd", "--dim", "1", "--max-n", "3"], _START | {"kummerchi.boxsets"}),
     (["pd", "--dim", "2", "--max-n", "3"], _START | {"kummerchi.boxsets"}),
-    (["table", "--max-n", "3"], _START | {"kummerchi.kummer"} | _RATIONALS),
+    (["table", "--max-n", "3"], _START | {"kummerchi.kummer"}),
     (["table", "--genus", "2", "--max-n", "3"],
-     _START | {"kummerchi.kummer", "kummerchi.partitions"} | _RATIONALS),
+     _START | {"kummerchi.kummer", "kummerchi.partitions"}),
     (["c-table", "--max-n", "3"], _START | {"kummerchi.kummer", "kummerchi.partitions"}),
     # g = 4 reads P_3, so the layered count and its DFS check load as well
     (["verify", "--max-n", "3", "--genus", "1,2,3,4"],
-     {f"kummerchi.{name}" for name in kummerchi._MODULES} | {"kummerchi.cli"} | _RATIONALS),
+     {f"kummerchi.{name}" for name in kummerchi._MODULES} | {"kummerchi.cli"}),
 ]
 
 

@@ -6,7 +6,7 @@ from operator import mul
 import pytest
 
 from kummerchi.partitions import enumerate_partitions
-from kummerchi.series import log_coefficients, product_expansion
+from kummerchi.series import _log_numerators, log_coefficients, product_expansion
 from series_oracle import exp_coefficients
 
 
@@ -168,6 +168,20 @@ def test_log_coefficients_examples():
         log_coefficients([])
     p2 = product_expansion(lambda k: k, 200)
     assert log_coefficients(p2) == log_coefficients([Fraction(c) for c in p2])
+
+
+def test_log_coefficients_are_the_integer_kernel_over_n():
+    # the CLI and `verify` read the kernel's b_n = n * s_n; the library divides by n
+    # (`test_log_coefficients_refuses_floats_and_strings` keeps its TypeError on floats)
+    rng = random.Random(7)
+    tables = [product_expansion(lambda k: k, 300), product_expansion(lambda k: 1, 60), [1],
+              [1] + [rng.randint(-50, 50) for _ in range(40)]]
+    for table in tables:
+        b = _log_numerators(table)
+        assert b[0] == 0 and all(type(v) is int for v in b)
+        assert log_coefficients(table) == [Fraction(v, n) for n, v in enumerate(b) if n]
+    with pytest.raises(ValueError):
+        _log_numerators([2, 1])
 
 
 def test_log_coefficients_refuses_floats_and_strings():

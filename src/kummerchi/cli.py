@@ -7,8 +7,9 @@ Four subcommands, each emitting text, CSV, or JSON on stdout:
     pd        P_d(0..max-n), flagging which values were cross-checked
     verify    run every identity check and report
 
-Exit codes: 0 all good, 1 an identity failed, 2 a refusal: a cap on n
-was hit before any exponential work started, and stdout is empty.
+Exit codes: 0 all good, 1 an identity failed or two counts disagreed, 2 a
+refusal (a cap on n was hit before any exponential work; stdout is empty),
+and from the process entry, `__main__`, 141: the reader closed stdout.
 --enum-cap lifts only the enumeration caps; the message of a fixed cap
 names what sets it instead.  Rationals are printed exactly, as "p/q"
 (or "p" when integral); output for fixed inputs is byte-stable.
@@ -30,6 +31,7 @@ from .dd_partitions import (DEFAULT_ENUM_CAPS, EnumerationCapError, enumeration_
 EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1
 EXIT_CAP = 2
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE; `__main__` returns it, not `main`
 
 _FORMATS = ("text", "csv", "json")
 _LARGEST_N = "largest n (default %(default)s)"
@@ -150,7 +152,7 @@ def cmd_c_table(args) -> int:
     from .kummer import _strata_at, _tables, sigma
 
     n = args.max_n
-    table = _tables(n, [3], args.enum_cap)[2]
+    table = _tables(n, [3], args.enum_cap)[3]
     expected = sigma(2, n)
     total = 0
     # one string per (size, multiplicity) that can occur, so a row's label only joins lookups
@@ -262,3 +264,8 @@ def main(argv=None) -> int:
         hint = "" if err.fixed_by else "; raise the limit with --enum-cap"
         print(f"error: {err}{hint}", file=sys.stderr)
         return EXIT_CAP
+    except ArithmeticError as err:  # two counts disagree, before any output but c-table's
+        if type(err) is not ArithmeticError:  # ZeroDivisionError, OverflowError: a bug
+            raise
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_IDENTITY_FAILURE

@@ -12,9 +12,10 @@ the signed recursion c((n)) = n, c(alpha) = -sum_i c(alpha with one part
 of size i removed), with i over the *distinct* part sizes of alpha.
 
 `_strata` walks the partitions of every n up to a bound depth first, each
-node's parts, prod alpha_i! and weight stepped from its parent's, and holds
-one path; it computes no c, which a caller takes from `_c_closed` where it
-needs it.  `iter_partitions` yields the walk's partitions of one n and
+node's parts, prod alpha_i! and weight stepped from its parent's, yields
+those of n from a given least n on, and holds one path; it computes no c,
+which a caller takes from `_c_closed` where it needs it.
+`iter_partitions` yields the walk's partitions of one n and
 `enumerate_partitions` lists them.  Nothing in this module keeps state
 between calls.
 """
@@ -91,12 +92,11 @@ def iter_partitions(n: int) -> Iterator[Partition]:
 def _walk(n: int) -> Iterator[Partition]:
     if not n:
         yield _trusted((), 0)
-    for weight, _, _, _, path in _strata(n, [1] * (n + 1), least=n):
-        if weight == n:
-            vec = [0] * path[0][0]  # vec[i - 1] counts the parts of size i
-            for i, m in path:
-                vec[i - 1] = m
-            yield _trusted(tuple(vec), n)
+    for _, _, _, _, path in _strata(n, [1] * (n + 1), least=n):
+        vec = [0] * path[0][0]  # vec[i - 1] counts the parts of size i
+        for i, m in path:
+            vec[i - 1] = m
+        yield _trusted(tuple(vec), n)
 
 
 def enumerate_partitions(n: int) -> list[Partition]:
@@ -124,14 +124,16 @@ def c_value(alpha: Partition) -> int:
 
 
 def _strata(max_n: int, table: Sequence[int], least: int = 1) -> Iterator[tuple]:
-    """(n, l, D, W, path) for each partition alpha of n = least..max_n and each parent of one.
+    """(n, l, D, W, path) for each partition alpha of n = least..max_n, and no other.
 
     Depth first, by decreasing largest part and each size's multiplicity from
     high to low.  `path` is one list, changed in place, of alpha's (size,
     multiplicity) pairs, largest size first; l counts its parts, D = prod_i
-    alpha_i! and W = prod_i table[i]^(alpha_i).  A child of size 1 is a
-    leaf, skipped if its n is below `least`.  The walk computes no c: a
-    caller that needs c(alpha) calls `_c_closed(n, l, D)` for the nodes it uses.
+    alpha_i! and W = prod_i table[i]^(alpha_i).  The walk passes through the
+    partitions of n < least without a part 1, the parents of those it yields,
+    without yielding them: at least = max_n it yields the p(max_n) partitions
+    of max_n alone.  It computes no c: a caller that needs c(alpha) calls
+    `_c_closed(n, l, D)` for each partition it is given.
     """
     fact = list(accumulate(range(1, max_n + 1), mul, initial=1))
     power = [[1]] + [list(accumulate([table[i]] * (max_n // i), mul, initial=1))
@@ -152,7 +154,8 @@ def _strata(max_n: int, table: Sequence[int], least: int = 1) -> Iterator[tuple]
             continue
         path[depth:] = [(i, m)]
         n, l, d, w = n0 + i * m, l0 + m, d0 * fact[m], w0 * power[i][m]
-        yield n, l, d, w, path
+        if n >= least:
+            yield n, l, d, w, path
         room = max_n - n
         if room:  # pushed in reverse order of visit: size 1 first, then ascending
             push((depth + 1, n, l, d, w, 1, room))

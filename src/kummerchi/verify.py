@@ -67,7 +67,7 @@ def _report(identity: str, g: int | None, count: int, failed: list[tuple]) -> Re
 
 def verify_sigma2_convolution(max_n: int) -> Report:
     """n * P_2(n) = sum_{k=1..n} sigma_2(k) * P_2(n-k), P_2 from the product expansion."""
-    return _sigma2_report(_tables(max_n, [3], walk=False)[2])
+    return _sigma2_report(_tables(max_n, [3], walk=False)[3])
 
 
 def _sigma2_report(p2: list[int]) -> Report:
@@ -160,7 +160,7 @@ def verify_chi_series(g: int, max_n: int, enum_cap: int | None = None) -> Report
     g = 3 the closed formula n^5 * sigma_2(n) is checked as well.  One
     table, logarithm and stratified chi serve this and `verify_first_order`.
     """
-    return _genus_reports(g, _tables(max_n, [g], enum_cap)[g - 1])[0]
+    return _genus_reports(g, _tables(max_n, [g], enum_cap)[g])[0]
 
 
 def verify_first_order(g: int, max_n: int, enum_cap: int | None = None) -> Report:
@@ -176,7 +176,7 @@ def verify_first_order(g: int, max_n: int, enum_cap: int | None = None) -> Repor
     it restates that verifier's "stratified" check rather than giving an
     independent right-hand side.
     """
-    return _genus_reports(g, _tables(max_n, [g], enum_cap)[g - 1])[1]
+    return _genus_reports(g, _tables(max_n, [g], enum_cap)[g])[1]
 
 
 def run_all_verifiers(
@@ -185,7 +185,7 @@ def run_all_verifiers(
     """All identity checks up to max_n, the g-dependent ones once per requested g."""
     genus = list(dict.fromkeys(genus))  # each g once, in the order first given
     tables = _tables(max_n, [3, *genus], enum_cap)  # P_2 serves sigma_2 and g = 3
-    reports = [_sigma2_report(tables[2]), verify_single_step(max_n, enum_cap)]
+    reports = [_sigma2_report(tables[3]), verify_single_step(max_n, enum_cap)]
     for g in genus:
-        reports.extend(_genus_reports(g, tables[g - 1]))
+        reports.extend(_genus_reports(g, tables[g]))
     return reports

@@ -2,6 +2,8 @@ import csv
 import hashlib
 import io
 import json
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import pytest
 
 from kummerchi import cli, kummer, partitions, verify
 from kummerchi.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_CAP,
     EXIT_IDENTITY_FAILURE,
     EXIT_OK,
@@ -450,3 +453,16 @@ def test_c_table_mismatch_renders_in_every_format(capsys, monkeypatch):
     for fmt, text in expected.items():
         got = run_cli(capsys, "c-table", "--max-n", "3", "--format", fmt)
         assert got == (EXIT_IDENTITY_FAILURE, text, ""), fmt
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_closed_pipe_ends_quietly(fmt):
+    # the rows of 35 outgrow a pipe's buffer, so the command is still writing when the
+    # reader goes: it must exit 128 + SIGPIPE with nothing on stderr, not a traceback
+    proc = subprocess.Popen([sys.executable, "-m", "kummerchi", "c-table", "--max-n", "35",
+                             "--format", fmt], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (EXIT_BROKEN_PIPE, b"")

@@ -300,11 +300,12 @@ def test_walk_visits_each_partition_of_each_weight_once():
     for top in (0, 1, 2, 7, 15):
         assert sum(1 for _ in _strata(top, [1] * (top + 1))) == sum(
             partition_count_oracle(n) for n in range(1, top + 1))
-    # from `least` = N on: the p(N) partitions of N and their parents, the p(N - 1) - 1
-    # partitions of 1..N-1 without a part 1
-    assert sum(1 for _ in _strata(31, [1] * 32, least=31)) == 6_842 + 5_604 - 1
+    # from `least` on: the partitions of least..N alone, the p(N) of N at least = N;
+    # their parents below `least` are walked through, not yielded
+    assert sum(1 for _ in _strata(31, [1] * 32, least=31)) == 6_842
     for top in (1, 2, 7, 15):
         nodes = [(n, mult) for n, mult, *_ in walk_nodes(top, [1] * (top + 1), least=top)]
-        assert [m for n, m in nodes if n == top] == [a.mult for a in iter_partitions(top)]
-        assert all(n == top or (n < top and not mult[0]) for n, mult in nodes)
-        assert len(nodes) == partition_count_oracle(top) + partition_count_oracle(top - 1) - 1
+        assert nodes == [(top, a.mult) for a in iter_partitions(top)]
+        assert len(nodes) == partition_count_oracle(top)
+    assert sorted(n for n, *_ in _strata(15, [1] * 16, least=6)) == [
+        n for n in range(6, 16) for _ in range(partition_count_oracle(n))]

@@ -11,7 +11,8 @@ Importing the package loads none of its modules.  The public names,
 `__all__` and the seven modules resolve on first use (PEP 562), so each
 command loads only what it runs, as README's "Layout" table lists.
 A public name loads `_MODULES` up to its own (`c_value`: `partitions` alone);
-`__all__` and an unknown name load all seven.
+`__all__` and an unknown name load all seven.  `cli` is a submodule, not a
+public name: it loads itself and its imports, `dd_partitions` and `series`.
 """
 
 __version__ = "0.1.0"
@@ -20,7 +21,7 @@ _MODULES = ("partitions", "dd_partitions", "layered", "boxsets", "series", "kumm
 
 
 def __getattr__(name: str):
-    if name in _MODULES:
+    if name in (*_MODULES, "cli"):
         __import__(f"{__name__}.{name}")  # binds it here, so no module is asked for twice
         return globals()[name]
     modules = map(__getattr__, _MODULES)  # lazy: a name loads the modules up to its own

@@ -10,8 +10,7 @@ keeps its hands off fd 1.
 import os
 import sys
 
-from .cli import EXIT_BROKEN_PIPE
-from .cli import main as run_command  # not `from . import cli`: the package would load every module
+from .cli import EXIT_BROKEN_PIPE, main as run_command
 
 
 def main(argv=None) -> int:

@@ -80,8 +80,8 @@ def _yes_no(value) -> str:
     return ("no", "yes")[value] if isinstance(value, bool) else str(value)
 
 
-def _emit(fmt, out, meta, header, rows, text_header=None, cell=str, footer=None) -> None:
-    """Write the rows that `rows()` returns in format `fmt`, each as it comes, keeping none.
+def _emit(fmt, meta, header, rows, text_header=None, cell=str, footer=None) -> None:
+    """Write the rows of `rows()` to stdout in format `fmt`, each as it comes, keeping none.
 
     JSON is `meta` plus the rows as records keyed by `header`, byte for
     byte what `json.dumps(..., sort_keys=True, indent=2)` writes for the
@@ -95,6 +95,7 @@ def _emit(fmt, out, meta, header, rows, text_header=None, cell=str, footer=None)
     dict: its "json" entry holds more top-level keys, which sort after
     "rows", and its "csv" or "text" entry is one more line after the table.
     """
+    out = sys.stdout
     if fmt == "json":
         import json
         other = json.JSONEncoder().encode  # the compact encoder; str, int and bool skip its Python
@@ -139,10 +140,10 @@ def _emit(fmt, out, meta, header, rows, text_header=None, cell=str, footer=None)
 # it prints before its first write, so a refusal, raised before any counting, leaves
 # stdout empty: `c-table` checks its caps and counts P_2 before `_emit` starts its walk.
 def cmd_table(args) -> int:
-    from .kummer import _ratio, _rows
+    from .kummer import _rows
 
-    rows = _rows(args.max_n, args.genus, args.enum_cap, _ratio)
-    _emit(args.format, sys.stdout, {"command": "table", "genus": args.genus, "max_n": args.max_n},
+    rows = _rows(args.max_n, args.genus, args.enum_cap)
+    _emit(args.format, {"command": "table", "genus": args.genus, "max_n": args.max_n},
           ["n", "sigma2", "chi", "dt", "s"], lambda: rows)
     return EXIT_OK
 
@@ -175,7 +176,7 @@ def cmd_c_table(args) -> int:
                     f"sigma2({n}) = {expected}; {verdict}",
         }
 
-    _emit(args.format, sys.stdout, {"command": "c-table", "n": n}, ["partition", "c"], rows,
+    _emit(args.format, {"command": "c-table", "n": n}, ["partition", "c"], rows,
           footer=footer)
     return EXIT_OK if total == expected else EXIT_IDENTITY_FAILURE
 
@@ -183,7 +184,7 @@ def cmd_c_table(args) -> int:
 def cmd_pd(args) -> int:
     d = args.dim
     rows = partition_count_rows(d, args.max_n, enum_cap=args.enum_cap)
-    _emit(args.format, sys.stdout, {"command": "pd", "dim": d, "max_n": args.max_n},
+    _emit(args.format, {"command": "pd", "dim": d, "max_n": args.max_n},
           ["n", "count", "cross_checked"], lambda: rows,
           text_header=["n", f"P_{d}(n)", "cross-checked"], cell=_yes_no)
     return EXIT_OK
@@ -215,7 +216,7 @@ def cmd_verify(args) -> int:
         rows = [[r.name, r.count, len(r.failed), r.passed] for r in reports]
         rows += [["FAILURE", c.identity, "" if c.g is None else c.g, c.n, c.detail, c.lhs, c.rhs]
                  for r in reports for c in r.failed]
-        _emit("csv", sys.stdout, {}, ["name", "checks", "failed", "passed"], lambda: rows)
+        _emit("csv", {}, ["name", "checks", "failed", "passed"], lambda: rows)
     return EXIT_OK if passed else EXIT_IDENTITY_FAILURE
 
 

@@ -19,21 +19,19 @@ Routes 2 and 3 read one P_{g-1} table from `dd_partitions`, which owns its
 route, its DFS check and every cap on it; `verify` checks that the routes
 agree.  `_tables` alone turns a genus into a dimension: it returns each
 table keyed by g.  The arithmetic is in integers: `_ratio` writes a
-rational p / q as `str(Fraction(p, q))` would, and only the library's
-`dt_invariant`, route 1 divided out once, and `kummer_rows` build a
-`Fraction`.  Route 2 is one walk of `partitions._strata`: `_ns_table` for
-every n up to a bound, `_strata_at` for the partitions of one n
-(`ns_from_c`, `c-table`), the only ones the walk yields it.  Every entry
-point refuses before it counts, through `_tables`: max_n < 1, each g < 1,
-the d = 1 cap of the partition walk, then the caps of every table before
-the first is counted.
+rational p / q as `str(Fraction(p, q))` would, and `dt_invariant`, route 1
+divided out once, is the only `Fraction` built here.  Route 2 is one walk
+of `partitions._strata`: `_ns_table` for every n up to a bound (`table`),
+`_strata_at` for the partitions of one n (`ns_from_c`, `c-table`), the
+only ones the walk yields it.  Every entry point refuses before it counts,
+through `_tables`: max_n < 1, each g < 1, the d = 1 cap of the partition
+walk, then the caps of every table before the first is counted.
 """
 
 from __future__ import annotations
 
 from math import gcd, isqrt
-from operator import index
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from . import dd_partitions
 from .dd_partitions import _at_least, check_enumeration_cap
@@ -48,8 +46,6 @@ __all__ = [
     "chi_kummer_stratified",
     "dt_invariant",
     "ns_from_c",
-    "KummerRow",
-    "kummer_rows",
 ]
 
 
@@ -109,33 +105,19 @@ def _strata_at(n: int, table: Sequence[int]) -> Iterator[tuple[list, int, int]]:
         yield path, c, c * w
 
 
-def ns_from_c(
-    n: int, g: int, table: Sequence[int] | None = None, enum_cap: int | None = None
-) -> int:
+def ns_from_c(n: int, g: int, enum_cap: int | None = None) -> int:
     """n * s_n out of the signed weights: sum over alpha of n of c(alpha) * prod P_{g-1}.
 
-    Equals sigma_2(n) at g = 3, sigma_1(n) at g = 2 and 1 at g = 1.
-    `table` may carry a precomputed `partition_count_table(g - 1, >= n)`; a
-    shorter one raises `ValueError` before the walk, which holds one path, not p(n)
-    partitions.  n is subject to the d = 1 cap.
+    Equals sigma_2(n) at g = 3, sigma_1(n) at g = 2 and 1 at g = 1.  The walk
+    holds one path, not p(n) partitions; n is subject to the d = 1 cap.
     """
     _at_least(n, 1, "n must be >= 1")
-    _at_least(g, 1, "g must be >= 1")
-    tables = _tables(n, [g] if table is None else [], enum_cap)  # a table given: the cap alone
-    if table is None:
-        table = tables[g]
-    elif len(table) <= n:
-        raise ValueError(f"table has no entry for part size {n}")
-    else:  # TypeError on non-integer entries, before the walk: no floats
-        table = list(map(index, table[: n + 1]))
-    return sum(cw for _, _, cw in _strata_at(n, table))
+    return sum(cw for _, _, cw in _strata_at(n, _tables(n, [g], enum_cap)[g]))
 
 
-def chi_kummer_stratified(
-    n: int, g: int, table: Sequence[int] | None = None, enum_cap: int | None = None
-) -> int:
-    """chi(K^n) for Abelian g-folds via the partition stratification."""
-    ns = ns_from_c(n, g, table=table, enum_cap=enum_cap)  # refuses n and g before n ** (2g - 1)
+def chi_kummer_stratified(n: int, g: int, enum_cap: int | None = None) -> int:
+    """chi(K^n) for Abelian g-folds via the partition stratification, from `ns_from_c`."""
+    ns = ns_from_c(n, g, enum_cap)  # refuses n and g before n ** (2g - 1)
     return n ** (2 * g - 1) * ns
 
 
@@ -151,16 +133,6 @@ def dt_invariant(n: int) -> Fraction:
     return Fraction(chi if n % 2 else -chi, n**6)
 
 
-class KummerRow(NamedTuple):
-    """One table row: everything the CLI prints for a single n."""
-
-    n: int
-    sigma2: int
-    chi: int
-    dt: Fraction
-    s: Fraction
-
-
 def _ratio(p: int, q: int) -> str:
     """p / q, q >= 1, as `str(Fraction(p, q))` writes it: in lowest terms, the sign on
     the numerator, and "p" alone when the denominator is 1."""
@@ -168,28 +140,20 @@ def _ratio(p: int, q: int) -> str:
     return f"{p // d}/{q // d}" if q != d else str(p // d)
 
 
-def _rows(max_n: int, g: int, enum_cap: int | None,
-          ratio: Callable[[int, int], object]) -> list[tuple]:
-    """`kummer_rows`'s rows as tuples, computed in integers: each rational, dt and s,
-    is `ratio(numerator, denominator)`, as `Fraction` for the library, `_ratio` for the CLI."""
+def _rows(max_n: int, g: int, enum_cap: int | None) -> list[tuple]:
+    """The `table` rows (n, sigma_2(n), chi, dt, s) for n = 1..max_n at a fixed g, in
+    integers, each rational written by `_ratio`.
+
+    chi uses the closed formula at g = 3 and the stratified sum, one walk for
+    every n (`_ns_table`), for any other g; dt generalizes the threefold DT
+    invariant as (-1)^(n+1) * chi / n^(2g), which is (-1)^(n+1) * s_n.
+    """
     table = _tables(max_n, [g], enum_cap, walk=g != 3)[g]
     b = _log_numerators(table)
     ns = _ns_table(max_n, table) if g != 3 else None
     rows = []
     for n in range(1, max_n + 1):
         chi = chi_kummer_closed(n) if g == 3 else n ** (2 * g - 1) * ns[n]
-        rows.append((n, sigma(2, n), chi, ratio(chi if n % 2 else -chi, n ** (2 * g)),
-                     ratio(b[n], n)))
+        rows.append((n, sigma(2, n), chi, _ratio(chi if n % 2 else -chi, n ** (2 * g)),
+                     _ratio(b[n], n)))
     return rows
-
-
-def kummer_rows(max_n: int, g: int = 3, enum_cap: int | None = None) -> list[KummerRow]:
-    """Rows for n = 1..max_n at a fixed g.
-
-    chi uses the closed formula at g = 3 and the stratified sum, one walk for
-    every n (`_ns_table`), for any other g; dt generalizes the threefold DT
-    invariant as (-1)^(n+1) * chi / n^(2g), which is (-1)^(n+1) * s_n.
-    """
-    from fractions import Fraction
-
-    return list(map(KummerRow._make, _rows(max_n, g, enum_cap, Fraction)))

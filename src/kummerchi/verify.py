@@ -43,7 +43,7 @@ class Check(NamedTuple):
 
 
 class Report(NamedTuple):
-    """What one verifier checked: how many instances, and each one that failed."""
+    """What one verifier checked: how many instances, and in `failed` each one that failed."""
 
     name: str
     count: int
@@ -52,9 +52,6 @@ class Report(NamedTuple):
     @property
     def passed(self) -> bool:
         return not self.failed
-
-    def failures(self) -> list[Check]:
-        return list(self.failed)
 
 
 def _report(identity: str, g: int | None, count: int, failed: list[tuple]) -> Report:

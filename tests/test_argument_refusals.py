@@ -1,4 +1,5 @@
-"""Each public entry point's argument refusal: its exception type, its message
+"""Each public entry point's argument refusal, and that of the `table` command's
+rows: its exception type, its message
 and, where two arguments are bad, which one it names first.
 
 Every call is refused before it counts anything, so the whole table runs in
@@ -9,7 +10,7 @@ the table and the cap.
 import pytest
 
 import kummerchi
-from kummerchi import EnumerationCapError
+from kummerchi import EnumerationCapError, kummer
 
 _NOT_INT = "'float' object cannot be interpreted as an integer"
 _WALK_CAP_41 = "enumerating 1-dimensional partitions of 41 exceeds the cap of 40"
@@ -42,17 +43,9 @@ _CASES = [
     ("ns_from_c(2, 1.5)", TypeError, _NOT_INT),
     ("ns_from_c(41, 2)", EnumerationCapError, _WALK_CAP_41),
     ("ns_from_c(3, 2, enum_cap=0)", ValueError, _ENUM_CAP),
-    ("ns_from_c(3, 2, table=[1, 1])", ValueError, "table has no entry for part size 3"),
-    ("ns_from_c(2, 2, table=[1, 1, 1.5])", TypeError, _NOT_INT),
     ("chi_kummer_stratified(0, 2)", ValueError, "n must be >= 1"),
     ("chi_kummer_stratified(2, 0)", ValueError, "g must be >= 1"),
     ("chi_kummer_stratified(41, 2)", EnumerationCapError, _WALK_CAP_41),
-    ("kummer_rows(0, 0)", ValueError, "max_n must be >= 1"),
-    ("kummer_rows(3, 0)", ValueError, "g must be >= 1"),
-    ("kummer_rows(1.5)", TypeError, _NOT_INT),
-    ("kummer_rows(3, 1.5)", TypeError, _NOT_INT),
-    ("kummer_rows(6001)", EnumerationCapError, _PRODUCT_CAP_6001),
-    ("kummer_rows(41, 2)", EnumerationCapError, _WALK_CAP_41),
     ("partition_count_table(-1, -1)", ValueError, "d must be nonnegative"),
     ("partition_count_table(1, -1)", ValueError, "max_n must be nonnegative"),
     ("partition_count_table(1.5, 3)", TypeError, _NOT_INT),
@@ -119,13 +112,37 @@ def test_each_entry_point_refuses_with_its_own_message(call, error, message):
     assert str(raised.value) == message
 
 
+# the `table` command's rows: (max_n, g, enum_cap), max_n named before g, and the
+# product's cap at g = 3, where the rows walk no partition
+_TABLE_CASES = [
+    ("_rows(0, 0, None)", ValueError, "max_n must be >= 1"),
+    ("_rows(3, 0, None)", ValueError, "g must be >= 1"),
+    ("_rows(1.5, 3, None)", TypeError, _NOT_INT),
+    ("_rows(3, 1.5, None)", TypeError, _NOT_INT),
+    ("_rows(6001, 3, None)", EnumerationCapError, _PRODUCT_CAP_6001),
+    ("_rows(41, 2, None)", EnumerationCapError, _WALK_CAP_41),
+]
+
+
+@pytest.mark.parametrize("call, error, message", _TABLE_CASES,
+                         ids=[call for call, _, _ in _TABLE_CASES])
+def test_the_table_rows_refuse_with_their_own_message(call, error, message):
+    with pytest.raises(Exception) as raised:
+        eval(call, {"_rows": kummer._rows})
+    assert type(raised.value) is error
+    assert str(raised.value) == message
+
+
 # every check takes `index` of its argument first, so no bound is compared with a
-# float, and `chi_kummer_stratified` refuses n and g before it takes n ** (2g - 1)
+# float, `chi_kummer_stratified` refuses n and g before it takes n ** (2g - 1), and
+# `ns_from_c` refuses g before the walk's cap and that cap before its table's
 _CHECKED_FIRST = [
     ("sigma(2, 0.5)", TypeError, _NOT_INT),
     ("chi_kummer_closed(0.5)", TypeError, _NOT_INT),
     ("ns_from_c(0.5, 2)", TypeError, _NOT_INT),
     ("ns_from_c(1.5, 0)", TypeError, _NOT_INT),
+    ("ns_from_c(41, 0)", ValueError, "g must be >= 1"),
+    ("ns_from_c(41, 4)", EnumerationCapError, _WALK_CAP_41),
     ("chi_kummer_stratified(0.5, 2)", TypeError, _NOT_INT),
     ("chi_kummer_stratified(0, 0)", ValueError, "n must be >= 1"),
     ("partition_count_rows(0.5, 3)", TypeError, _NOT_INT),

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -19,7 +20,8 @@ from kummerchi.cli import (
     main,
 )
 from kummerchi.dd_partitions import partition_count_table
-from kummerchi.kummer import kummer_rows
+from kummerchi.kummer import chi_kummer_closed, chi_kummer_stratified, sigma
+from kummerchi.series import log_coefficients
 from kummerchi.verify import Check, Report
 
 
@@ -27,6 +29,19 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _table_rows(max_n, g):
+    """The `table` rows rebuilt from the public routes, not from the code the CLI prints:
+    chi by the closed form at g = 3 and by the stratification at each n elsewhere, s by
+    the library's logarithm, and dt = (-1)^(n+1) chi / n^(2g)."""
+    s = log_coefficients(partition_count_table(g - 1, max_n))
+    rows = []
+    for n in range(1, max_n + 1):
+        chi = chi_kummer_closed(n) if g == 3 else chi_kummer_stratified(n, g)
+        dt = Fraction(chi if n % 2 else -chi, n ** (2 * g))
+        rows.append([str(v) for v in (n, sigma(2, n), chi, dt, s[n - 1])])
+    return rows
 
 
 def test_table_text(capsys):
@@ -59,14 +74,9 @@ def test_table_json_round_trip(capsys):
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["genus"] == 3 and payload["max_n"] == 8
-    recomputed = {r.n: r for r in kummer_rows(8, g=3)}
-    assert len(payload["rows"]) == 8
-    for row in payload["rows"]:
-        expect = recomputed[row["n"]]
-        assert row["sigma2"] == expect.sigma2
-        assert row["chi"] == expect.chi
-        assert Fraction(row["dt"]) == expect.dt
-        assert Fraction(row["s"]) == expect.s
+    header = ["n", "sigma2", "chi", "dt", "s"]
+    assert [[str(row[k]) for k in header] for row in payload["rows"]] == _table_rows(8, 3)
+    assert all(type(row[k]) is int for row in payload["rows"] for k in header[:3])
 
 
 def test_table_json_single_row(capsys):
@@ -131,7 +141,8 @@ def test_text_calls_its_row_function_twice_and_csv_and_json_once():
                         '    {\n      "x": "bb",\n      "y": 22\n    }\n  ]\n}\n'}
     for fmt, text in expected.items():
         calls, out = [], io.StringIO()
-        cli._emit(fmt, out, {}, ["x", "y"], lambda: calls.append(fmt) or iter(rows))
+        with contextlib.redirect_stdout(out):
+            cli._emit(fmt, {}, ["x", "y"], lambda: calls.append(fmt) or iter(rows))
         assert out.getvalue() == text, fmt
         assert len(calls) == (2 if fmt == "text" else 1), fmt
 
@@ -223,12 +234,13 @@ def test_verify_runs_a_repeated_genus_once(capsys):
 @pytest.mark.parametrize("g, max_n", [(1, 30), (2, 30), (3, 300), (4, 12)])
 def test_table_prints_the_library_rows(capsys, g, max_n):
     # the CLI renders its integer rows itself: each cell, dt and s included, is what
-    # `str` makes of the `KummerRow` field, the `Fraction`s of the library
+    # `str` makes of the value rebuilt from the library's public routes, `Fraction`s for
+    # the rationals
     code, out, _ = run_cli(capsys, "table", "--genus", str(g), "--max-n", str(max_n),
                            "--format", "csv")
     assert code == EXIT_OK
     rows = list(csv.reader(io.StringIO(out)))[1:]
-    assert rows == [[str(v) for v in r] for r in kummer_rows(max_n, g=g)]
+    assert rows == _table_rows(max_n, g)
 
 
 def test_verify_json(capsys):
@@ -366,7 +378,8 @@ def test_emitted_json_scalars_are_what_json_dumps_writes():
             ("naïve ∑ \u2028 \x00", -(2**70), True, "plain"), ("", 0, False, -3)]
     meta = {"command": "test", "n": 4}
     emitted = io.StringIO()
-    cli._emit("json", emitted, meta, header, lambda: iter(rows))
+    with contextlib.redirect_stdout(emitted):
+        cli._emit("json", meta, header, lambda: iter(rows))
     dumped = json.dumps({**meta, "rows": [dict(zip(header, row)) for row in rows]},
                         sort_keys=True, indent=2) + "\n"
     assert emitted.getvalue() == dumped

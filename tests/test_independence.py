@@ -17,9 +17,8 @@ from kummerchi import kummer, partition_count_table, series, verify
 
 _MAX_N = 12
 
-# the refusal helpers, which every entry point may call before it counts; given a
-# table, `ns_from_c` reaches `kummer._tables` only to refuse
-_ALLOWED = {"kummerchi.kummer._tables"} | {
+# the refusal helpers, which every entry point may call before it counts
+_ALLOWED = {
     f"kummerchi.dd_partitions.{name}"
     for name in ("_at_least", "_cap", "check_enumeration_cap", "enumeration_cap")}
 
@@ -30,7 +29,8 @@ _ROUTES = {
         {"kummerchi.kummer.chi_kummer_closed", "kummerchi.kummer.sigma"}),
     "route 2, the stratification": (
         lambda table: (kummer._ns_table(len(table) - 1, table),
-                       [kummer.ns_from_c(n, 2, table=table) for n in range(1, len(table))]),
+                       [sum(cw for _, _, cw in kummer._strata_at(n, table))
+                        for n in range(1, len(table))]),
         {"kummerchi.kummer._ns_table", "kummerchi.kummer._strata_at",
          "kummerchi.partitions._strata", "kummerchi.partitions._c_closed"}),
     "route 3, the logarithm": (series.log_coefficients, {"kummerchi.series.log_coefficients",

@@ -9,11 +9,9 @@ from kummerchi import kummer, partitions, verify
 from kummerchi.dd_partitions import (EnumerationCapError, partition_count_rows,
                                      partition_count_table)
 from kummerchi.kummer import (
-    KummerRow,
     chi_kummer_closed,
     chi_kummer_stratified,
     dt_invariant,
-    kummer_rows,
     ns_from_c,
     sigma,
 )
@@ -77,9 +75,8 @@ def test_chi_stratified_hand_case():
 
 
 def test_chi_routes_agree():
-    table = partition_count_table(2, 16)
     for n in range(1, 17):
-        assert chi_kummer_closed(n) == chi_kummer_stratified(n, 3, table=table)
+        assert chi_kummer_closed(n) == chi_kummer_stratified(n, 3)
 
 
 def test_ns_from_c_examples():
@@ -151,31 +148,6 @@ def test_stratified_sum_of_log_one_plus_q():
     assert kummer._ns_table(20, [1, 1] + [0] * 19) == [0] + [(-1) ** (n - 1) for n in range(1, 21)]
 
 
-def test_ns_from_c_refuses_a_short_table_before_it_walks(monkeypatch):
-    def tripped(*args):
-        raise AssertionError("walked")
-
-    monkeypatch.setattr(partitions, "_strata", tripped)
-    with pytest.raises(ValueError, match="table has no entry for part size 3"):
-        ns_from_c(3, 3, table=[1, 1, 3])
-    with pytest.raises(ValueError, match="table has no entry for part size 3"):
-        chi_kummer_stratified(3, 2, table=[1, 1, 2])
-
-
-def test_ns_from_c_refuses_a_table_of_floats_before_it_walks(monkeypatch):
-    # a caller's table gives an int answer or none, as the package's own tables do
-    assert ns_from_c(3, 3, table=[1, 1, 3, 6]) == 10
-
-    def tripped(*args):
-        raise AssertionError("walked")
-
-    monkeypatch.setattr(partitions, "_strata", tripped)
-    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
-        ns_from_c(3, 3, table=[1, 1, 3, 6.0])
-    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
-        chi_kummer_stratified(2, 3, table=[1, 1.0, 3])
-
-
 def test_three_routes_to_sigma2():
     # divisor sums, the signed stratification, and the series logarithm
     s = log_coefficients(partition_count_table(2, 15))
@@ -215,35 +187,35 @@ def test_partition_count_table_d3_cross_checked():
         partition_count_table(-1, 5)
 
 
-def test_kummer_rows_threefold():
-    rows = kummer_rows(6, g=3)
-    assert [r.n for r in rows] == [1, 2, 3, 4, 5, 6]
-    for r in rows:
-        assert r.chi == r.n**5 * r.sigma2
-        assert r.dt == (-1) ** (r.n + 1) * Fraction(r.sigma2, r.n)
-        assert r.s == Fraction(r.sigma2, r.n)
-        assert r.n % r.dt.denominator == 0
-    assert rows[1] == KummerRow(
-        n=2, sigma2=5, chi=160, dt=Fraction(-5, 2), s=Fraction(5, 2)
-    )
+def test_rows_threefold():
+    rows = kummer._rows(6, 3, None)
+    assert [r[0] for r in rows] == [1, 2, 3, 4, 5, 6]
+    for n, sigma2, chi, dt, s in rows:
+        assert chi == n**5 * sigma2
+        assert dt == str((-1) ** (n + 1) * Fraction(sigma2, n))
+        assert s == str(Fraction(sigma2, n))
+    assert rows[1] == (2, 5, 160, "-5/2", "5/2")
+    assert rows[5] == (6, 50, 388800, "-25/3", "25/3")
 
 
-def test_kummer_rows_other_genus():
-    rows = kummer_rows(4, g=2)
-    # chi = n^3 sigma_1(n) for Abelian surfaces
-    assert [r.chi for r in rows] == [n**3 * sigma(1, n) for n in range(1, 5)]
-    assert rows[1].dt == Fraction(-3, 2)
-    ones = kummer_rows(5, g=1)
-    assert [r.chi for r in ones] == [1, 2, 3, 4, 5]
+def test_rows_other_genus():
+    rows = kummer._rows(4, 2, None)
+    # chi = n^3 sigma_1(n) for Abelian surfaces; the sigma_2 column stays the threefold's
+    assert [r[2] for r in rows] == [n**3 * sigma(1, n) for n in range(1, 5)]
+    assert [r[1] for r in rows] == [sigma(2, n) for n in range(1, 5)]
+    assert rows[1][3] == "-3/2"
+    ones = kummer._rows(5, 1, None)
+    assert [r[2] for r in ones] == [1, 2, 3, 4, 5]
+    assert [r[3] for r in ones] == ["1", "-1/2", "1/3", "-1/4", "1/5"]
     with pytest.raises(ValueError):
-        kummer_rows(0)
+        kummer._rows(0, 3, None)
 
 
 def test_report_structure():
     bad = Check("demo", 2, False, "1", "2", g=3, detail="why")
     report = Report("demo", 2, (bad,))
     assert not report.passed
-    assert report.failures() == [bad]
+    assert report.failed == (bad,)
     assert Report("empty", 0, ()).passed
     # the field, not tuple.count
     assert Report("x", 3, ()).count == 3
@@ -260,7 +232,7 @@ def test_verify_sigma2_convolution(monkeypatch):
     # sigma_2(1) one too large spoils every right-hand side
     real_sigma = verify.sigma
     monkeypatch.setattr(verify, "sigma", lambda k, n: real_sigma(k, n) + (n == 1))
-    failures = verify_sigma2_convolution(12).failures()
+    failures = verify_sigma2_convolution(12).failed
     assert [c.n for c in failures] == list(range(1, 13))
     first = failures[0]
     assert (first.n, first.lhs, first.rhs) == (1, "1", "2")
@@ -307,7 +279,7 @@ def test_verify_single_step(monkeypatch):
     # the closed form gives c both to the walk and to each removal
     real_c = partitions._c_closed
     monkeypatch.setattr(partitions, "_c_closed", lambda n, parts, dfact: real_c(n, parts, dfact) + 1)
-    failures = verify_single_step(10).failures()
+    failures = verify_single_step(10).failed
     assert len(failures) == report.count
     # base cases are skipped: no checks mention a single-part alpha
     assert not any(c.detail.startswith("alpha=5^1 ") for c in failures)
@@ -323,15 +295,15 @@ def test_verify_chi_series_all_supported_genera(monkeypatch):
     assert verify_chi_series(3, 6).count == 18
     # negated s_n fail all three checks at every n
     monkeypatch.setattr(verify, "_log_numerators", lambda t: [-x for x in _log_numerators(t)])
-    failures = verify_chi_series(3, 6).failures()
+    failures = verify_chi_series(3, 6).failed
     assert len(failures) == 18
     assert any(c.detail == "closed-form" for c in failures)
     assert all(c.g == 3 for c in failures)
     # without the closed form, two checks per n, and the fault fails both
     for g, max_n in ((1, 10), (2, 10), (4, 8)):
         report = verify_chi_series(g, max_n)
-        assert len(report.failures()) == report.count == 2 * max_n
-        assert all(c.g == g for c in report.failures())
+        assert len(report.failed) == report.count == 2 * max_n
+        assert all(c.g == g for c in report.failed)
 
 
 def test_verify_first_order_fails_every_n_under_a_wrong_logarithm(monkeypatch):
@@ -340,7 +312,7 @@ def test_verify_first_order_fails_every_n_under_a_wrong_logarithm(monkeypatch):
     for g in (1, 2, 3):
         report = verify_first_order(g, 10)
         assert report.count == 11
-        assert [c.n for c in report.failures()] == list(range(1, 11))
+        assert [c.n for c in report.failed] == list(range(1, 11))
 
 
 def test_verifiers_keep_no_passing_check():
@@ -351,7 +323,7 @@ def test_verifiers_keep_no_passing_check():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert [r.failures() for r in reports] == [[]] * 4
+    assert [r.failed for r in reports] == [()] * 4
     assert peak < 2 * 2**20
 
 

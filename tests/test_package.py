@@ -2,6 +2,7 @@ import ast
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,19 @@ def test_importing_the_package_loads_no_module():
     assert _fresh("-c", probe).stdout == "[]\n"
 
 
+_START = {"kummerchi.cli", "kummerchi.dd_partitions", "kummerchi.series"}
+
+
+@pytest.mark.parametrize("probe", ["from kummerchi import cli",
+                                   "import kummerchi; assert hasattr(kummerchi, 'cli')"])
+def test_cli_resolves_as_a_submodule_not_a_public_name(probe):
+    # a public name is searched for through the modules up to its own; `cli` is no
+    # public name, so that search would load all seven
+    probe += ("\nimport sys; "
+              "print(sorted(m for m in sys.modules if m.startswith('kummerchi.')))")
+    assert _fresh("-c", probe).stdout == f"{sorted(_START)}\n"
+
+
 _NAMES = [("c_value", {"kummerchi.partitions"}),
           ("check_enumeration_cap", {"kummerchi.partitions", "kummerchi.dd_partitions",
                                      "kummerchi.series"})]
@@ -57,7 +71,6 @@ def test_a_public_name_loads_only_the_modules_up_to_its_own(name, loaded):
     assert _fresh("-c", probe).stdout == f"{sorted(loaded)}\n"
 
 
-_START = {"kummerchi.cli", "kummerchi.dd_partitions", "kummerchi.series"}
 _FIRST_WORDS = {"--version": "kummerchi ", "pd": "n  P_", "table": "n  sigma2", "c-table": "partition",
                 "verify": "PASS  "}
 _LOADS = [
@@ -118,3 +131,21 @@ def test_star_import_binds_every_public_name():
     probe = ("from kummerchi import *; import kummerchi; "
              "print([name for name in kummerchi.__all__ if name not in globals()])")
     assert _fresh("-c", probe).stdout == "[]\n"
+
+
+# CPython 3.11's parser doubles its token array at 2,048 tokens, and every command
+# compiles `cli.py` from source, so the peak RSS of every command rises by about 0.1 MB
+_CLI_TOKEN_CLIFF = 2048
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 12),
+                    reason="tokenize splits f-strings from 3.12, so it counts more tokens")
+def test_cli_stays_below_the_parsers_token_cliff():
+    path = Path(kummerchi.__file__).with_name("cli.py")
+    with path.open(encoding="utf-8") as source:
+        count = sum(1 for token in tokenize.generate_tokens(source.readline)
+                    if token.type not in (tokenize.COMMENT, tokenize.NL))
+    assert count < _CLI_TOKEN_CLIFF, (
+        f"cli.py has {count} tokens, at or past {_CLI_TOKEN_CLIFF}, where CPython 3.11's parser "
+        "doubles its token array: every command compiles cli.py, so peak RSS rises by about 0.1 MB"
+    )

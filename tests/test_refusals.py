@@ -171,7 +171,7 @@ def test_a_genus_below_1_is_refused_before_counting(monkeypatch):
     _tripwires(monkeypatch)
     for call in (lambda: verify.run_all_verifiers(40, [0]),
                  lambda: verify.run_all_verifiers(40, [1, 2, -1]),
-                 lambda: kummer.kummer_rows(3, g=0),
+                 lambda: kummer._rows(3, 0, None),
                  lambda: verify.verify_chi_series(0, 5),
                  lambda: verify.verify_first_order(0, 5)):
         with pytest.raises(ValueError, match="^g must be >= 1$"):
@@ -179,7 +179,7 @@ def test_a_genus_below_1_is_refused_before_counting(monkeypatch):
 
 
 def test_a_max_n_below_1_or_not_an_integer_is_refused_before_counting(monkeypatch):
-    # no verifier answers with reports of no checks, and each refuses in kummer_rows's words;
+    # no verifier answers with reports of no checks, and each refuses in `table`'s words;
     # a non-integer max_n is refused before a kernel multiplies a list by it
     _tripwires(monkeypatch)
     for call in (lambda: verify.verify_single_step(-5),
@@ -187,7 +187,7 @@ def test_a_max_n_below_1_or_not_an_integer_is_refused_before_counting(monkeypatc
                  lambda: verify.verify_chi_series(1, 0),
                  lambda: verify.verify_first_order(2, 0),
                  lambda: verify.run_all_verifiers(0, [1, 2]),
-                 lambda: kummer.kummer_rows(0)):
+                 lambda: kummer._rows(0, 3, None)):
         with pytest.raises(ValueError, match="^max_n must be >= 1$"):
             call()
     for call in (lambda: verify.verify_single_step(2.5),
@@ -244,7 +244,7 @@ def test_an_enum_cap_below_1_or_not_an_integer_is_refused(monkeypatch):
                      lambda: boxsets.count_pd_alt_table(2, 3, enum_cap=enum_cap),
                      lambda: dd_partitions.check_enumeration_cap(1, 3, enum_cap),
                      lambda: dd_partitions.partition_count_table(3, 5, enum_cap=enum_cap),
-                     lambda: kummer.kummer_rows(5, 2, enum_cap),
+                     lambda: kummer._rows(5, 2, enum_cap),
                      lambda: verify.run_all_verifiers(5, [1], enum_cap)):
             with pytest.raises(error):
                 call()
@@ -265,7 +265,7 @@ def _outcome(call):
 
 def test_library_entry_points_refuse_as_verify_does(monkeypatch):
     # each checks the walk's cap before its table's, as run_all_verifiers does, so both
-    # name the same cap or both start counting; kummer_rows walks nothing at g = 3
+    # name the same cap or both start counting; `table`'s rows walk nothing at g = 3
     _tripwires(monkeypatch)
     disagree = []
     for g, max_n, enum_cap in product([1, 2, 3, 4, 5, 6, 7, 31],
@@ -275,7 +275,7 @@ def test_library_entry_points_refuse_as_verify_does(monkeypatch):
                  "verify_first_order": lambda: verify.verify_first_order(g, max_n, enum_cap),
                  "ns_from_c": lambda: kummer.ns_from_c(max_n, g, enum_cap=enum_cap)}
         if g != 3:
-            calls["kummer_rows"] = lambda: kummer.kummer_rows(max_n, g, enum_cap)
+            calls["table"] = lambda: kummer._rows(max_n, g, enum_cap)
         disagree += [(name, g, max_n, enum_cap, outcome) for name, call in calls.items()
                      if (outcome := _outcome(call)) != expected]
     assert disagree == []
